@@ -1,7 +1,7 @@
 //! Figure 6 — stream lookup heuristics: fraction of misses eliminated by
 //! First / Digram / Recent / Longest, against the Opportunity bound.
 
-use tifs_sequitur::heuristics::{evaluate_heuristic, Heuristic, HeuristicConfig};
+use tifs_sequitur::heuristics::{evaluate_all, Heuristic};
 
 use crate::engine::Lab;
 use crate::harness::ExpConfig;
@@ -26,23 +26,20 @@ pub fn run(cfg: &ExpConfig) -> Vec<HeuristicRow> {
 /// other trace analyses).
 pub fn run_on(lab: &Lab) -> Vec<HeuristicRow> {
     lab.analyze(|ctx| {
-        let traces = ctx.symbol_traces();
-        let coverage = Heuristic::ALL
+        // One suffix index per trace, shared by all five policies; the
+        // per-policy sums do not depend on the loop order.
+        let mut eliminated = [0usize; Heuristic::ALL.len()];
+        let mut total = [0usize; Heuristic::ALL.len()];
+        for t in &ctx.symbol_traces() {
+            for (k, (_, out)) in evaluate_all(t, 16).into_iter().enumerate() {
+                eliminated[k] += out.eliminated;
+                total[k] += out.total_misses;
+            }
+        }
+        let coverage = eliminated
             .iter()
-            .map(|&h| {
-                let mut eliminated = 0usize;
-                let mut total = 0usize;
-                for t in &traces {
-                    let out = evaluate_heuristic(t, &HeuristicConfig::new(h));
-                    eliminated += out.eliminated;
-                    total += out.total_misses;
-                }
-                if total == 0 {
-                    0.0
-                } else {
-                    eliminated as f64 / total as f64
-                }
-            })
+            .zip(&total)
+            .map(|(&e, &t)| if t == 0 { 0.0 } else { e as f64 / t as f64 })
             .collect();
         HeuristicRow {
             workload: ctx.name(),

@@ -10,7 +10,8 @@
 //! TIFS_UPDATE_GOLDEN=1 cargo test -p tifs-experiments --test golden_reports
 //! ```
 
-use tifs_experiments::engine::ExperimentGrid;
+use tifs_experiments::engine::{ExperimentGrid, Lab};
+use tifs_experiments::figures::fig06;
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_experiments::sink::{self, StructuredReport};
 use tifs_sim::config::SystemConfig;
@@ -33,6 +34,22 @@ fn golden_report() -> StructuredReport {
         "Golden smoke grid (Web Zeus, single core, seed 3)",
         &grid.run(),
     )
+}
+
+fn golden_fig06() -> StructuredReport {
+    // Two workloads at a small budget, built serially: pins Figure 6's
+    // heuristic replay (suffix index, LCE queries, every lookup policy)
+    // byte-for-byte.
+    let lab = Lab::build_with_threads(
+        vec![WorkloadSpec::web_apache(), WorkloadSpec::web_zeus()],
+        ExpConfig {
+            instructions: 100_000,
+            warmup: 0,
+            seed: 5,
+        },
+        1,
+    );
+    fig06::structured(&fig06::run_on(&lab))
 }
 
 fn check_golden(rendered: &str, file: &str) {
@@ -67,4 +84,9 @@ fn grid_json_matches_golden_byte_for_byte() {
 #[test]
 fn grid_csv_matches_golden_byte_for_byte() {
     check_golden(&sink::to_csv(&golden_report()), "golden_smoke.csv");
+}
+
+#[test]
+fn fig06_json_matches_golden_byte_for_byte() {
+    check_golden(&sink::to_json(&golden_fig06()), "golden_fig06.json");
 }

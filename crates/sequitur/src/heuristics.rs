@@ -20,11 +20,10 @@
 //! The replay walks the miss trace once. At each *head* (a miss not covered
 //! by the active stream), the policy picks a prior occurrence of the head
 //! address; the stream following that occurrence is compared against the
-//! actual future with an O(1) longest-common-extension query and all matched
-//! misses are counted as eliminated. Heads themselves are never eliminated,
-//! matching the paper's `Head`/`Opportunity` accounting.
-
-use std::collections::HashMap;
+//! actual future with a longest-common-extension query (O(B), B = 32; see
+//! [`LceIndex`]) and all matched misses are counted as eliminated. Heads
+//! themselves are never eliminated, matching the paper's `Head`/`Opportunity`
+//! accounting.
 
 use crate::suffix::LceIndex;
 
@@ -118,14 +117,18 @@ struct Candidate {
     best_len: u32,
 }
 
+/// Replay bookkeeping for one address. `candidates` is empty until the
+/// address first occurs, and its last entry is always the most recent
+/// occurrence.
 #[derive(Clone, Debug, Default)]
 struct AddrState {
     first: u32,
-    recent: u32,
     candidates: Vec<Candidate>,
 }
 
-/// Replays `config.heuristic` over `trace` and reports coverage.
+/// Replays `config.heuristic` over `trace` and reports coverage. Builds a
+/// fresh [`LceIndex`]; to compare every policy on one trace, use
+/// [`evaluate_all`], which builds the index once.
 ///
 /// # Example
 ///
@@ -138,10 +141,31 @@ struct AddrState {
 /// assert!(out.coverage() > 0.8);
 /// ```
 pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicOutcome {
-    assert!(config.max_candidates >= 1, "need at least one candidate");
-    let n = trace.len();
+    replay(&LceIndex::new(trace), config)
+}
+
+/// Evaluates every heuristic in [`Heuristic::ALL`] over one trace, sharing
+/// one [`LceIndex`] among all five replays.
+pub fn evaluate_all(trace: &[u64], max_candidates: usize) -> Vec<(Heuristic, HeuristicOutcome)> {
     let lce = LceIndex::new(trace);
-    let mut state: HashMap<u64, AddrState> = HashMap::new();
+    Heuristic::ALL
+        .iter()
+        .map(|&h| {
+            let cfg = HeuristicConfig {
+                heuristic: h,
+                max_candidates,
+            };
+            (h, replay(&lce, &cfg))
+        })
+        .collect()
+}
+
+/// One policy's replay over the trace `lce` indexes.
+fn replay(lce: &LceIndex, config: &HeuristicConfig) -> HeuristicOutcome {
+    assert!(config.max_candidates >= 1, "need at least one candidate");
+    let n = lce.len();
+    let ids = lce.ids();
+    let mut state = vec![AddrState::default(); lce.distinct()];
     let mut out = HeuristicOutcome {
         total_misses: n,
         ..HeuristicOutcome::default()
@@ -149,24 +173,24 @@ pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicO
 
     let mut covered_until = 0usize;
     for i in 0..n {
-        let addr = trace[i];
+        let st = &mut state[ids[i] as usize];
         if i >= covered_until {
             // This miss is a head: perform a lookup.
             out.lookups += 1;
-            let chosen: Option<u32> = match state.get(&addr) {
+            let chosen: Option<u32> = match st.candidates.last() {
                 None => None,
-                Some(st) => match config.heuristic {
+                Some(recent) => match config.heuristic {
                     Heuristic::First => Some(st.first),
-                    Heuristic::Recent => Some(st.recent),
+                    Heuristic::Recent => Some(recent.pos),
                     Heuristic::Digram => {
                         if i + 1 < n {
-                            let next = trace[i + 1];
+                            let next = ids[i + 1];
                             st.candidates
                                 .iter()
                                 .rev()
                                 .find(|c| {
                                     let p = c.pos as usize;
-                                    p + 1 < n && trace[p + 1] == next
+                                    p + 1 < n && ids[p + 1] == next
                                 })
                                 .map(|c| c.pos)
                         } else {
@@ -206,11 +230,9 @@ pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicO
 
         // Record this occurrence (SVB hits are logged too, per the paper, so
         // every position updates the bookkeeping).
-        let st = state.entry(addr).or_insert_with(|| AddrState {
-            first: i as u32,
-            recent: i as u32,
-            candidates: Vec::new(),
-        });
+        if st.candidates.is_empty() {
+            st.first = i as u32;
+        }
         // Retrospective length measurement for `Longest`: the stream that
         // followed candidate p has now been demonstrated against position i.
         if config.heuristic == Heuristic::Longest {
@@ -228,23 +250,8 @@ pub fn evaluate_heuristic(trace: &[u64], config: &HeuristicConfig) -> HeuristicO
             pos: i as u32,
             best_len: 0,
         });
-        st.recent = i as u32;
     }
     out
-}
-
-/// Evaluates every heuristic in [`Heuristic::ALL`] over one trace.
-pub fn evaluate_all(trace: &[u64], max_candidates: usize) -> Vec<(Heuristic, HeuristicOutcome)> {
-    Heuristic::ALL
-        .iter()
-        .map(|&h| {
-            let cfg = HeuristicConfig {
-                heuristic: h,
-                max_candidates,
-            };
-            (h, evaluate_heuristic(trace, &cfg))
-        })
-        .collect()
 }
 
 #[cfg(test)]

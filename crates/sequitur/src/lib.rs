@@ -14,7 +14,7 @@
 //!   `First`, `Digram`, `Recent`, `Longest` against the `Opportunity` bound
 //!   (paper Figure 6).
 //! * [`suffix`] — a suffix array / LCP / range-minimum toolkit giving
-//!   O(1) longest-common-extension queries over a trace, used by the
+//!   longest-common-extension queries over a trace, used by the
 //!   heuristic replay and as an independent cross-check on SEQUITUR.
 //!
 //! The crate is generic over the meaning of a symbol: traces are slices of

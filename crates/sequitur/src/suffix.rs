@@ -1,20 +1,23 @@
-//! Suffix array, LCP array, and O(1) longest-common-extension queries.
+//! Suffix array, LCP array, and longest-common-extension queries.
 //!
 //! The stream lookup-heuristic replay (paper Figure 6) repeatedly asks "how
 //! far does the miss sequence starting at position *i* match the sequence
 //! that followed an earlier occurrence at position *p*?". That is a
-//! longest-common-extension (LCE) query. We answer it in O(1) after an
-//! O(n log n) preprocessing pass:
+//! longest-common-extension (LCE) query. We answer it in O(B) time, B = 32,
+//! after an O(n log n) preprocessing pass:
 //!
-//! * suffix array by prefix doubling,
+//! * symbols rank-compressed to dense ids by one comparison sort,
+//! * suffix array by prefix doubling, each round ordered by a stable
+//!   counting sort,
 //! * LCP array by Kasai's algorithm,
 //! * range-minimum over LCP with a two-level (block + sparse-table) scheme
-//!   whose memory stays linear in the trace length.
+//!   whose memory stays linear in the trace length; a query scans at most
+//!   two partial blocks of B entries plus two sparse-table lookups.
 
 use std::fmt;
 
 /// Precomputed index over a symbol trace answering longest-common-extension
-/// queries in O(1).
+/// queries in O(B) time, B = 32 (two partial-block scans).
 ///
 /// # Example
 ///
@@ -28,7 +31,9 @@ use std::fmt;
 /// assert_eq!(idx.lce(3, 3), trace.len() - 3); // identical suffixes
 /// ```
 pub struct LceIndex {
-    n: usize,
+    /// Order-preserving dense id of each trace symbol, in `0..distinct`.
+    ids: Vec<u32>,
+    distinct: usize,
     /// rank[i] = position of suffix i in the suffix array.
     rank: Vec<u32>,
     /// Range-minimum structure over the LCP array.
@@ -37,32 +42,48 @@ pub struct LceIndex {
 
 impl fmt::Debug for LceIndex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LceIndex").field("n", &self.n).finish()
+        f.debug_struct("LceIndex").field("n", &self.len()).finish()
     }
 }
 
 impl LceIndex {
     /// Builds the index for `trace`. Cost: O(n log n) time, O(n) memory.
     pub fn new(trace: &[u64]) -> LceIndex {
-        let n = trace.len();
-        let sa = suffix_array(trace);
-        let mut rank = vec![0u32; n];
+        let (ids, distinct, order) = compress(trace);
+        let sa = doubling(&ids, distinct, order);
+        let mut rank = vec![0u32; sa.len()];
         for (k, &s) in sa.iter().enumerate() {
             rank[s as usize] = k as u32;
         }
-        let lcp = kasai(trace, &sa, &rank);
+        let lcp = kasai(&ids, &sa, &rank);
         let rmq = BlockRmq::new(&lcp);
-        LceIndex { n, rank, rmq }
+        LceIndex {
+            ids,
+            distinct,
+            rank,
+            rmq,
+        }
     }
 
     /// Length of the trace this index covers.
     pub fn len(&self) -> usize {
-        self.n
+        self.ids.len()
     }
 
     /// Returns `true` if the indexed trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.ids.is_empty()
+    }
+
+    /// Dense id of every trace symbol: `ids()[i] < distinct()`, equal
+    /// symbols share an id, and ids keep the symbols' numeric order.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Number of distinct symbols in the trace.
+    pub(crate) fn distinct(&self) -> usize {
+        self.distinct
     }
 
     /// Longest common extension: the length of the longest common prefix of
@@ -72,11 +93,12 @@ impl LceIndex {
     ///
     /// Panics if `i` or `j` is out of bounds.
     pub fn lce(&self, i: usize, j: usize) -> usize {
-        assert!(i <= self.n && j <= self.n, "lce out of bounds");
+        let n = self.len();
+        assert!(i <= n && j <= n, "lce out of bounds");
         if i == j {
-            return self.n - i;
+            return n - i;
         }
-        if i == self.n || j == self.n {
+        if i == n || j == n {
             return 0;
         }
         let (a, b) = {
@@ -92,47 +114,97 @@ impl LceIndex {
 }
 
 /// Suffix array by prefix doubling, O(n log n). Symbols are arbitrary `u64`
-/// values; they are first rank-compressed.
+/// values; they are first rank-compressed by one comparison sort, and every
+/// doubling round after that is a linear-time stable counting sort.
+///
+/// # Panics
+///
+/// Panics if the trace holds `u32::MAX` or more symbols.
 pub fn suffix_array(trace: &[u64]) -> Vec<u32> {
-    let n = trace.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    // Initial ranks from sorted symbol values.
-    let mut sorted: Vec<u64> = trace.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut rank: Vec<i64> = trace
-        .iter()
-        .map(|x| sorted.binary_search(x).expect("symbol present") as i64)
-        .collect();
+    let (ids, distinct, order) = compress(trace);
+    doubling(&ids, distinct, order)
+}
 
-    let mut sa: Vec<u32> = (0..n as u32).collect();
-    let mut tmp: Vec<i64> = vec![0; n];
+/// Rank-compresses `trace`: returns each symbol's dense id, the number of
+/// distinct symbols, and the positions sorted by symbol (ties in any order).
+fn compress(trace: &[u64]) -> (Vec<u32>, usize, Vec<u32>) {
+    let n = trace.len();
+    assert!(n < u32::MAX as usize, "trace too long for u32 positions");
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by_key(|&i| trace[i as usize]);
+    let mut ids = vec![0u32; n];
+    let mut distinct = 0u32;
+    for w in 0..n {
+        let i = order[w] as usize;
+        if w > 0 && trace[i] != trace[order[w - 1] as usize] {
+            distinct += 1;
+        }
+        ids[i] = distinct;
+    }
+    (ids, if n == 0 { 0 } else { distinct as usize + 1 }, order)
+}
+
+/// Prefix doubling over dense ids. `sa` enters sorted by first symbol; each
+/// round re-sorts it by (rank of the first k symbols, rank of the next k)
+/// and stops as soon as every rank is distinct.
+fn doubling(ids: &[u32], distinct: usize, mut sa: Vec<u32>) -> Vec<u32> {
+    let n = ids.len();
+    let mut rank = ids.to_vec();
+    let mut classes = distinct;
+    let mut by_second = vec![0u32; n];
+    let mut count = vec![0u32; n + 1];
+    let mut next = vec![0u32; n];
     let mut k = 1usize;
-    while k < n {
-        let key = |i: u32| -> (i64, i64) {
-            let i = i as usize;
-            let second = if i + k < n { rank[i + k] } else { -1 };
-            (rank[i], second)
-        };
-        sa.sort_unstable_by_key(|&i| key(i));
-        tmp[sa[0] as usize] = 0;
+    while classes < n {
+        // Order by second key: suffixes with no second half (i + k >= n)
+        // sort first; the rest follow the previous order shifted by k.
+        // (Two suffixes still share a class, so both are at least k long
+        // and k < n.)
+        let mut w = 0;
+        for i in n - k..n {
+            by_second[w] = i as u32;
+            w += 1;
+        }
+        for &s in &sa {
+            if s as usize >= k {
+                by_second[w] = s - k as u32;
+                w += 1;
+            }
+        }
+        // Stable counting sort by first key.
+        count[..=classes].fill(0);
+        for &r in &rank {
+            count[r as usize + 1] += 1;
+        }
+        for c in 1..=classes {
+            count[c] += count[c - 1];
+        }
+        for &s in &by_second {
+            let slot = &mut count[rank[s as usize] as usize];
+            sa[*slot as usize] = s;
+            *slot += 1;
+        }
+        // Re-rank: a new class starts wherever either key changes. The
+        // second key is shifted by one so that 0 means "no second half".
+        let second = |i: usize| if i + k < n { rank[i + k] + 1 } else { 0 };
+        next[sa[0] as usize] = 0;
+        let mut c = 0u32;
         for w in 1..n {
-            let inc = (key(sa[w]) != key(sa[w - 1])) as i64;
-            tmp[sa[w] as usize] = tmp[sa[w - 1] as usize] + inc;
+            let (a, b) = (sa[w - 1] as usize, sa[w] as usize);
+            if rank[a] != rank[b] || second(a) != second(b) {
+                c += 1;
+            }
+            next[b] = c;
         }
-        rank.copy_from_slice(&tmp);
-        if rank[sa[n - 1] as usize] as usize == n - 1 {
-            break;
-        }
+        std::mem::swap(&mut rank, &mut next);
+        classes = c as usize + 1;
         k <<= 1;
     }
     sa
 }
 
 /// Kasai's LCP construction: `lcp[k]` = LCP(sa[k-1], sa[k]), `lcp[0]` = 0.
-fn kasai(trace: &[u64], sa: &[u32], rank: &[u32]) -> Vec<u32> {
+fn kasai(trace: &[u32], sa: &[u32], rank: &[u32]) -> Vec<u32> {
     let n = trace.len();
     let mut lcp = vec![0u32; n];
     let mut h = 0usize;

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use tifs_sequitur::categorize::{categorize, CategoryCounts, MissClass};
 use tifs_sequitur::grammar::Sequitur;
-use tifs_sequitur::heuristics::{evaluate_heuristic, Heuristic, HeuristicConfig};
+use tifs_sequitur::heuristics::{evaluate_all, evaluate_heuristic, Heuristic, HeuristicConfig};
 use tifs_sequitur::streams::stream_occurrences;
 use tifs_sequitur::suffix::{suffix_array, LceIndex};
 
@@ -16,6 +16,37 @@ fn small_alphabet_trace() -> impl Strategy<Value = Vec<u64>> {
 /// Wider-alphabet traces exercise the sparse-repetition paths.
 fn wide_alphabet_trace() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..1000, 0..200)
+}
+
+prop_compose! {
+    /// All-distinct symbols in scrambled order: the initial rank sort
+    /// already separates every suffix.
+    fn distinct_trace(len: std::ops::Range<usize>)(n in len.clone(), salt in any::<u64>()) -> Vec<u64> {
+        // Multiplying by an odd constant and xoring a salt are both
+        // bijections on u64, so the symbols stay distinct.
+        (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt).collect()
+    }
+}
+
+prop_compose! {
+    /// One symbol repeated: every suffix is a prefix of the next longer
+    /// one, so prefix doubling needs all of its log n rounds.
+    fn run_trace(len: std::ops::Range<usize>)(n in len.clone(), sym in any::<u64>()) -> Vec<u64> {
+        vec![sym; n]
+    }
+}
+
+/// Traces shaped for the suffix toolkit: a small alphabet `0..alphabet`,
+/// full-range `u64` symbols with the extremes mixed in, all-distinct
+/// symbols, and single-symbol runs.
+fn suffix_trace(alphabet: u64, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u64>> {
+    let full_range = prop_oneof![any::<u64>(), Just(u64::MAX), Just(u64::MAX - 1), Just(0u64)];
+    prop_oneof![
+        prop::collection::vec(0u64..alphabet, len.clone()),
+        prop::collection::vec(full_range, len.clone()),
+        distinct_trace(len.clone()),
+        run_trace(len),
+    ]
 }
 
 proptest! {
@@ -57,7 +88,7 @@ proptest! {
     }
 
     #[test]
-    fn suffix_array_matches_naive(trace in prop::collection::vec(0u64..8, 0..120)) {
+    fn suffix_array_matches_naive(trace in suffix_trace(8, 0..120)) {
         let sa = suffix_array(&trace);
         let mut naive: Vec<u32> = (0..trace.len() as u32).collect();
         naive.sort_by(|&a, &b| trace[a as usize..].cmp(&trace[b as usize..]));
@@ -66,7 +97,7 @@ proptest! {
 
     #[test]
     fn lce_matches_naive(
-        trace in prop::collection::vec(0u64..5, 1..150),
+        trace in suffix_trace(5, 1..150),
         picks in prop::collection::vec((0usize..150, 0usize..150), 1..20),
     ) {
         let idx = LceIndex::new(&trace);
@@ -134,6 +165,25 @@ proptest! {
                 prop_assert_eq!(out.eliminated + out.lookups, out.total_misses);
             }
             prop_assert!(out.coverage() <= 1.0);
+        }
+    }
+
+    #[test]
+    fn evaluate_all_matches_single_policy_replays(
+        trace in prop_oneof![small_alphabet_trace(), wide_alphabet_trace()],
+        k in 1usize..=16,
+    ) {
+        // One shared suffix index must give every policy exactly the
+        // outcome of its own index.
+        let all = evaluate_all(&trace, k);
+        prop_assert_eq!(all.len(), Heuristic::ALL.len());
+        for (&h, &(got_h, got)) in Heuristic::ALL.iter().zip(&all) {
+            let want = evaluate_heuristic(&trace, &HeuristicConfig { heuristic: h, max_candidates: k });
+            prop_assert_eq!(got_h, h);
+            prop_assert_eq!(got.total_misses, want.total_misses, "{:?} total_misses", h);
+            prop_assert_eq!(got.eliminated, want.eliminated, "{:?} eliminated", h);
+            prop_assert_eq!(got.lookups, want.lookups, "{:?} lookups", h);
+            prop_assert_eq!(got.failed_lookups, want.failed_lookups, "{:?} failed_lookups", h);
         }
     }
 
