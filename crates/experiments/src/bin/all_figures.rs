@@ -14,11 +14,6 @@
 //! re-simulating (0 timing recomputes). Every figure and table also
 //! writes a canonical JSON/CSV report (`TIFS_RESULTS`, default
 //! `results/`); reports are byte-identical between cold and warm runs.
-//! `TIFS_SHARD_CORES=1` switches timing cells to intra-cell core
-//! sharding (independent single-core runs, deterministically merged);
-//! `TIFS_SHARD_CONTENTION=1` additionally reconstructs shared-L2
-//! contention and block sharing post hoc (`engine::convolve_shards`),
-//! tracking the coupled CMP's figures at shard-level speed.
 //! `TIFS_STORE_MAX_BYTES` bounds each persistent store with LRU GC.
 
 use tifs_experiments::engine::Lab;

@@ -5,8 +5,7 @@
 //! trace and report stores attached (`TIFS_TRACE_STORE` /
 //! `TIFS_REPORT_STORE`), so re-running the study under new budgets
 //! recomputes only the new cells; the canonical JSON/CSV report lands
-//! under `TIFS_RESULTS` (default `results/`) as `fig_grammar`. Cells
-//! always run the coupled CMP (see `figures::fig_grammar`).
+//! under `TIFS_RESULTS` (default `results/`) as `fig_grammar`.
 //!
 //! ```sh
 //! cargo run --release -p tifs-experiments --bin grammar_study -- \

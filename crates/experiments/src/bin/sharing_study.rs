@@ -6,9 +6,6 @@
 //! `TIFS_REPORT_STORE`), so re-running the study under new budgets or
 //! orgs recomputes only the new cells; the canonical JSON/CSV report
 //! lands under `TIFS_RESULTS` (default `results/`) as `fig_sharing`.
-//! Cells always run the coupled CMP (see `figures::fig_sharing`): the
-//! sharded execution modes simulate private 1-core systems, where the
-//! organizations under study degenerate to the private baseline.
 //!
 //! ```sh
 //! cargo run --release -p tifs-experiments --bin sharing_study -- \

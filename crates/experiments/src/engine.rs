@@ -21,29 +21,13 @@
 //!   ([`Lab::with_report_store`], `TIFS_REPORT_STORE`), every cell's
 //!   [`SimReport`] is keyed by a [`report_key`] fingerprint of the *full*
 //!   cell configuration and persisted through the canonical report codec,
-//!   so a repeat grid run recomputes nothing;
-//! * optionally shards a cell's cores across threads
-//!   ([`ExperimentGrid::sharded`], `TIFS_SHARD_CORES`): each core runs an
-//!   independent single-core simulation ([`run_core_shard`]) and the
-//!   per-core reports merge deterministically
-//!   ([`SimReport::merge_shards`]) into one cell report, byte-identical
-//!   at every shard/thread count. Sharded cells model private L2 slices
-//!   (no cross-core contention), so sharding is a distinct execution mode
-//!   with its own report-store address space, never a silent substitute
-//!   for the coupled CMP;
-//! * optionally reconstructs the shared L2 post hoc
-//!   ([`ExperimentGrid::sharded_contended`], `TIFS_SHARD_CONTENTION`):
-//!   each shard records its L2 access timeline and warm set, and
-//!   [`convolve_shards`] replays the merged timelines through the shared
-//!   bank-occupancy / `mem_gap` channel model and a shared instruction
-//!   directory — charging cross-core queueing and crediting cross-core
-//!   block sharing — so per-cell IPC tracks the coupled CMP at
-//!   shard-level speed (bounded by the `contention_fidelity` test).
+//!   so a repeat grid run recomputes nothing.
 //!
-//! Cells are deterministic: a grid produces bit-identical [`SimReport`]s
-//! whether run serially or in parallel, cold or warm, sharded at any
-//! worker count, because every cell derives its state only from
-//! (spec, seed, system, mode) — verified by the `engine_determinism`
+//! Every cell runs the paper's coupled CMP: all cores share one L2, one
+//! memory channel, and one prefetcher instance. Cells are deterministic:
+//! a grid produces bit-identical [`SimReport`]s whether run serially or
+//! in parallel, cold or warm, because every cell derives its state only
+//! from (spec, seed, system) — verified by the `engine_determinism`
 //! integration test.
 //!
 //! ```
@@ -71,12 +55,10 @@ use tifs_core::{
 use tifs_prefetch::{
     DiscontinuityConfig, DiscontinuityPrefetcher, Fdip, FdipConfig, ProbabilisticPrefetcher,
 };
-use tifs_sim::cache::SetAssocCache;
 use tifs_sim::cmp::Cmp;
 use tifs_sim::config::SystemConfig;
-use tifs_sim::l2::{ChannelModel, L2ReqKind};
 use tifs_sim::prefetch::{IPrefetcher, NullPrefetcher};
-use tifs_sim::stats::{SimReport, SIM_REPORT_EVENT_LAYOUT_VERSION, SIM_REPORT_LAYOUT_VERSION};
+use tifs_sim::stats::{SimReport, SIM_REPORT_LAYOUT_VERSION};
 use tifs_trace::codec::REPORT_VERSION;
 use tifs_trace::store::{
     hash_workload_spec, Fingerprint, ReportKey, ReportStore, TraceKey, TraceStore,
@@ -86,81 +68,20 @@ use tifs_trace::{BlockAddr, FetchRecord};
 
 use crate::harness::{ExpConfig, SystemKind};
 
-/// Environment variable enabling intra-cell core sharding for grids that
-/// did not choose explicitly ([`ExperimentGrid::sharded`] wins). Truthy
-/// values: `1` / `on` / `true` / `yes`.
-pub const SHARD_ENV: &str = "TIFS_SHARD_CORES";
-
-/// Environment variable enabling the *contention-aware* sharded mode for
-/// grids that did not choose explicitly. Takes precedence over
-/// [`SHARD_ENV`]; same truthy values.
-pub const SHARD_CONTENTION_ENV: &str = "TIFS_SHARD_CONTENTION";
-
-fn env_truthy(var: &str) -> bool {
-    matches!(
-        // tifs-lint: allow(wall-clock) — callers only pass the documented
-        // TIFS_* sharding knobs declared just above.
-        std::env::var(var).as_deref(),
-        Ok("1" | "on" | "true" | "yes")
-    )
-}
-
-/// Whether [`SHARD_ENV`] enables sharding for this process.
-pub fn shard_cores_from_env() -> bool {
-    env_truthy(SHARD_ENV)
-}
-
-/// Whether [`SHARD_CONTENTION_ENV`] enables contention-aware sharding
-/// for this process.
-pub fn shard_contention_from_env() -> bool {
-    env_truthy(SHARD_CONTENTION_ENV)
-}
-
-/// How a grid cell is executed. Each mode is distinct content in the
-/// report store: the mode discriminant is part of every [`report_key`],
-/// and the discriminants for [`Coupled`](ExecMode::Coupled) and
-/// [`Sharded`](ExecMode::Sharded) hash exactly as the pre-contention
-/// boolean did, so existing store entries for those modes stay warm.
+/// How a grid cell is executed. Only the paper's coupled CMP remains —
+/// every core shares one L2, one memory channel, and one prefetcher
+/// instance — so this type exists only to keep the report-key schema
+/// stable: [`Coupled`](ExecMode::Coupled) hashes as discriminant `0`, as
+/// it always has, so every coupled store entry stays warm. Discriminants
+/// `1` (core-sharded over private L2 slices) and `2` (sharded plus a
+/// post-hoc contention replay) are retired and reserved: those modes were
+/// no faster than coupled execution and lost most of TIFS's Figure 13
+/// gain, and no new mode may reuse their key space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// The paper's coupled CMP: every core shares one L2, one memory
-    /// channel, and one prefetcher instance. The figures' default.
+    /// The paper's coupled CMP.
     Coupled,
-    /// Intra-cell core sharding over private L2 slices: maximum
-    /// parallelism, no cross-core contention modelled.
-    Sharded,
-    /// Sharded execution plus a post-hoc convolution: each shard records
-    /// its L2 access timeline, and [`convolve_shards`] replays the merged
-    /// timelines through the shared bank-occupancy / `mem_gap` channel
-    /// model to reconstruct queueing delay, contended cycles, and IPC.
-    ShardedContended,
 }
-
-impl ExecMode {
-    /// The mode selected by the environment for grids that did not choose
-    /// explicitly: [`SHARD_CONTENTION_ENV`] wins over [`SHARD_ENV`].
-    pub fn from_env() -> ExecMode {
-        if shard_contention_from_env() {
-            ExecMode::ShardedContended
-        } else if shard_cores_from_env() {
-            ExecMode::Sharded
-        } else {
-            ExecMode::Coupled
-        }
-    }
-
-    /// Whether cells decompose into per-core shard work units.
-    pub fn is_sharded(self) -> bool {
-        !matches!(self, ExecMode::Coupled)
-    }
-}
-
-/// Version of the post-hoc contention reconstruction algorithm
-/// ([`convolve_shards`]). Hashed into every
-/// [`ShardedContended`](ExecMode::ShardedContended) report key, so a
-/// model change re-addresses that mode's cached reports without touching
-/// the coupled or plain-sharded address spaces.
-pub const CONTENTION_MODEL_VERSION: u32 = 1;
 
 /// Cores the cached analysis miss traces are collected for (the paper's
 /// trace studies use the 4-core CMP).
@@ -407,9 +328,7 @@ pub fn run_cell_mix(
 /// (`workload_seed` — a [`Lab`] may be built under a different
 /// [`ExpConfig`] than the grid runs with), the grid's seed and measured
 /// and warmup instruction budgets, every [`SystemConfig`] field, the
-/// system/prefetcher configuration, and the execution mode (coupled,
-/// core-sharded, or sharded-contended — the latter also hashing
-/// [`CONTENTION_MODEL_VERSION`] and the event-section layout version).
+/// system/prefetcher configuration, and the [`ExecMode`] discriminant.
 /// Any change to any of them addresses different content, so a stale
 /// report is never read — it is simply never addressed again.
 pub fn report_key(
@@ -484,16 +403,9 @@ fn finish_report_key(
     h.u64(exp.warmup);
     hash_system_config(&mut h, sys);
     hash_system_spec(&mut h, system);
-    // Coupled and Sharded hash exactly as the pre-contention `bool` did
-    // (0 / 1), so existing store entries for those modes stay warm.
+    // Coupled hashes as 0, as it always has; 1 and 2 are retired.
     match mode {
         ExecMode::Coupled => h.u64(0),
-        ExecMode::Sharded => h.u64(1),
-        ExecMode::ShardedContended => {
-            h.u64(2);
-            h.u64(u64::from(CONTENTION_MODEL_VERSION));
-            h.u64(u64::from(SIM_REPORT_EVENT_LAYOUT_VERSION));
-        }
     }
     ReportKey(h.finish())
 }
@@ -612,8 +524,7 @@ fn hash_grammar_config(h: &mut Fingerprint, cfg: &TifsGrammarConfig) {
 /// The `metadata` organization hashes *append-only*: the default
 /// [`MetadataOrg::PrivatePerCore`] contributes nothing, so every report
 /// key minted before the sharing axis existed is unchanged and all
-/// pre-existing store entries stay warm (the same trick [`ExecMode`]
-/// used for the contention discriminant) — pinned by the
+/// pre-existing store entries stay warm — pinned by the
 /// `report_key_stability` regression suite. Shared organizations append
 /// a tagged suffix and therefore address disjoint content.
 fn hash_tifs_config(h: &mut Fingerprint, cfg: &TifsConfig) {
@@ -685,19 +596,85 @@ fn load_cached_report(store: &ReportStore, key: &ReportKey) -> Option<SimReport>
     }
 }
 
+/// The store-resolve loop behind [`ExperimentGrid::run_on`] and
+/// [`run_mix_cells`], over `rows × systems` cells in row-major order:
+///
+/// 1. with a store attached, every cell is looked up under `key_of(row,
+///    system)` (cheap, serial disk reads);
+/// 2. `runner` is told which rows have a missing cell and returns the
+///    cell runner (a caller with per-row set-up builds it here, for the
+///    missing rows only);
+/// 3. only the missing cells run, fanned over `threads` workers by
+///    [`par::map`];
+/// 4. fresh reports are written through in cell order.
+///
+/// Returns one report row per row index, in `systems` order. The store is
+/// a pure cache: attached and detached runs produce identical reports.
+fn resolve_rows<R>(
+    store: Option<&ReportStore>,
+    rows: usize,
+    systems: &[SystemSpec],
+    threads: usize,
+    key_of: impl Fn(usize, usize) -> ReportKey,
+    row_name: impl Fn(usize) -> String,
+    runner: impl FnOnce(&[bool]) -> R,
+) -> Vec<Vec<SimReport>>
+where
+    R: Fn(usize, usize) -> SimReport + Sync,
+{
+    let cells: Vec<(usize, usize)> = (0..rows)
+        .flat_map(|r| (0..systems.len()).map(move |s| (r, s)))
+        .collect();
+    let mut reports: Vec<Option<SimReport>> = match store {
+        Some(store) => cells
+            .iter()
+            .map(|&(r, s)| load_cached_report(store, &key_of(r, s)))
+            .collect(),
+        None => cells.iter().map(|_| None).collect(),
+    };
+    let missing: Vec<(usize, usize)> = cells
+        .iter()
+        .zip(&reports)
+        .filter(|(_, cached)| cached.is_none())
+        .map(|(&cell, _)| cell)
+        .collect();
+    let mut need = vec![false; rows];
+    for &(r, _) in &missing {
+        need[r] = true;
+    }
+    let run = runner(&need);
+    let computed: Vec<SimReport> = par::map(&missing, threads, |_, &(r, s)| run(r, s));
+    let mut computed_iter = computed.into_iter();
+    for (slot, &(r, s)) in reports.iter_mut().zip(&cells) {
+        if slot.is_none() {
+            let report = computed_iter.next().expect("one report per missing cell");
+            if let Some(store) = store {
+                if let Err(e) = store.save(&key_of(r, s), &report.to_canonical_bytes()) {
+                    eprintln!(
+                        "[report-store] failed to persist cell ({}, {}): {e}",
+                        row_name(r),
+                        systems[s].name()
+                    );
+                }
+            }
+            *slot = Some(report);
+        }
+    }
+    let mut out: Vec<Vec<SimReport>> = (0..rows)
+        .map(|_| Vec::with_capacity(systems.len()))
+        .collect();
+    for ((r, _), report) in cells.into_iter().zip(reports) {
+        out[r].push(report.expect("every cell resolved"));
+    }
+    out
+}
+
 /// Runs a batch of heterogeneous-mix cells against a set of systems and
 /// returns one report row per cell, in `systems` order — the mix-axis
-/// analogue of [`ExperimentGrid::run_on`]. Every cell runs the **coupled
-/// CMP**: per-core sharding would simulate each tenant on a private
-/// 1-core system, dissolving exactly the cross-tenant interference the
-/// mix axis studies, so the mode is fixed rather than read from the
-/// environment (as [`fig_sharing`](crate::figures::fig_sharing) does).
-///
-/// With a [`ReportStore`] attached to `lab`, each cell consults the store
-/// under its [`report_key_cell`] first; only missing cells build their
-/// [`CellPrograms`] and simulate (fanned across `threads` workers), then
-/// write through. Cached cells skip the program build entirely, so a warm
-/// run is all store reads.
+/// analogue of [`ExperimentGrid::run_on`], through the same store-resolve
+/// loop. Each cell consults the store under its [`report_key_cell`];
+/// only cells with a missing system build their [`CellPrograms`], so a
+/// warm run is all store reads.
 pub fn run_mix_cells(
     lab: &Lab,
     sys: &SystemConfig,
@@ -706,433 +683,34 @@ pub fn run_mix_cells(
     threads: usize,
 ) -> Vec<Vec<SimReport>> {
     let exp = *lab.exp();
-    let store = lab.report_store();
-    let pairs: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..systems.len()).map(move |s| (c, s)))
-        .collect();
-    let key_of = |c: usize, s: usize| {
-        report_key_cell(
-            &cells[c],
-            exp.seed,
-            &systems[s],
-            &exp,
-            sys,
-            ExecMode::Coupled,
-        )
-    };
-    let mut reports: Vec<Option<SimReport>> = match store {
-        Some(store) => pairs
-            .iter()
-            .map(|&(c, s)| load_cached_report(store, &key_of(c, s)))
-            .collect(),
-        None => pairs.iter().map(|_| None).collect(),
-    };
-    let missing: Vec<(usize, usize)> = pairs
-        .iter()
-        .zip(&reports)
-        .filter(|(_, cached)| cached.is_none())
-        .map(|(&pair, _)| pair)
-        .collect();
-    let mut need = vec![false; cells.len()];
-    for &(c, _) in &missing {
-        need[c] = true;
-    }
-    let programs: Vec<Option<CellPrograms>> = par::map(cells, threads, |i, cell| {
-        need[i].then(|| CellPrograms::build(cell, exp.seed))
-    });
-    let computed: Vec<SimReport> = par::map(&missing, threads, |_, &(c, s)| {
-        let programs = programs[c]
-            .as_ref()
-            .expect("programs built for missing cell");
-        run_cell_mix(programs, &systems[s], &exp, sys)
-    });
-    let mut computed_iter = computed.into_iter();
-    for (slot, &(c, s)) in reports.iter_mut().zip(&pairs) {
-        if slot.is_none() {
-            let report = computed_iter.next().expect("one report per missing cell");
-            if let Some(store) = store {
-                if let Err(e) = store.save(&key_of(c, s), &report.to_canonical_bytes()) {
-                    eprintln!(
-                        "[report-store] failed to persist mix cell ({}, {}): {e}",
-                        cells[c].name(),
-                        systems[s].name()
-                    );
-                }
+    resolve_rows(
+        lab.report_store(),
+        cells.len(),
+        systems,
+        threads,
+        |c, s| {
+            report_key_cell(
+                &cells[c],
+                exp.seed,
+                &systems[s],
+                &exp,
+                sys,
+                ExecMode::Coupled,
+            )
+        },
+        |c| cells[c].name(),
+        |need| {
+            let programs: Vec<Option<CellPrograms>> = par::map(cells, threads, |i, cell| {
+                need[i].then(|| CellPrograms::build(cell, exp.seed))
+            });
+            move |c, s| {
+                let programs = programs[c]
+                    .as_ref()
+                    .expect("programs built for missing cell");
+                run_cell_mix(programs, &systems[s], &exp, sys)
             }
-            *slot = Some(report);
-        }
-    }
-    let mut rows: Vec<Vec<SimReport>> = (0..cells.len())
-        .map(|_| Vec::with_capacity(systems.len()))
-        .collect();
-    for ((c, _), report) in pairs.into_iter().zip(reports) {
-        rows[c].push(report.expect("every cell resolved"));
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// Intra-cell sharding — one core per work unit, deterministic merge.
-// ---------------------------------------------------------------------------
-
-/// Prefetcher seed for one core's shard: decorrelates per-shard RNG
-/// (the probabilistic baselines) across cores while staying a pure
-/// function of (seed, core).
-fn shard_seed(seed: u64, core: usize) -> u64 {
-    seed ^ (core as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// Runs one core of a cell as an independent single-core simulation: the
-/// core's own fetch stream on a 1-core copy of `sys` (same cache
-/// geometry and latencies, private L2 slice and prefetcher instance).
-/// This is the work unit of intra-cell sharding; it depends only on
-/// (spec, seed, system, core), so any schedule of shards reproduces the
-/// same per-core report.
-pub fn run_core_shard(
-    workload: &Workload,
-    system: &SystemSpec,
-    exp: &ExpConfig,
-    sys: &SystemConfig,
-    core: usize,
-) -> SimReport {
-    run_core_shard_inner(workload, system, exp, sys, core, false)
-}
-
-/// As [`run_core_shard`], additionally recording the shard's L2 access
-/// timeline into the report's `l2_events` — the per-shard input of the
-/// contention convolution ([`convolve_shards`]). The timing of the run
-/// itself is identical to the unrecorded shard.
-pub fn run_core_shard_with_events(
-    workload: &Workload,
-    system: &SystemSpec,
-    exp: &ExpConfig,
-    sys: &SystemConfig,
-    core: usize,
-) -> SimReport {
-    run_core_shard_inner(workload, system, exp, sys, core, true)
-}
-
-fn run_core_shard_inner(
-    workload: &Workload,
-    system: &SystemSpec,
-    exp: &ExpConfig,
-    sys: &SystemConfig,
-    core: usize,
-    record_events: bool,
-) -> SimReport {
-    let shard_sys = SystemConfig {
-        num_cores: 1,
-        ..sys.clone()
-    };
-    let stream = Box::new(workload.walker(core)) as Box<dyn Iterator<Item = FetchRecord>>;
-    let pf = build_prefetcher(system, workload, &shard_sys, shard_seed(exp.seed, core));
-    let mut cmp = Cmp::new(shard_sys, vec![stream], pf);
-    cmp.set_record_l2_events(record_events);
-    cmp.run_with_warmup(exp.warmup, exp.instructions)
-}
-
-/// Runs one cell in sharded mode: every core of `sys` becomes one
-/// [`run_core_shard`] unit, the units fan out over `threads` workers
-/// ([`par::map`], order-preserving), and the per-core reports merge
-/// deterministically ([`SimReport::merge_shards`]). The result is
-/// byte-identical at every `threads` value — `threads == 1` *is* the
-/// sequential path, same units, same merge — which the
-/// `engine_determinism` suite pins across 1/2/8 shards.
-pub fn run_cell_sharded(
-    workload: &Workload,
-    system: &SystemSpec,
-    exp: &ExpConfig,
-    sys: &SystemConfig,
-    threads: usize,
-) -> SimReport {
-    let cores: Vec<usize> = (0..sys.num_cores).collect();
-    let parts = par::map(&cores, threads, |_, &core| {
-        run_core_shard(workload, system, exp, sys, core)
-    });
-    SimReport::merge_shards(&parts)
-}
-
-/// Runs one cell in contention-aware sharded mode: per-core shards with
-/// event recording ([`run_core_shard_with_events`]) fan out over
-/// `threads` workers, then [`convolve_shards`] reconstructs the shared-L2
-/// contention the private slices hid. Byte-identical at every `threads`
-/// value, like the plain sharded mode.
-pub fn run_cell_sharded_contended(
-    workload: &Workload,
-    system: &SystemSpec,
-    exp: &ExpConfig,
-    sys: &SystemConfig,
-    threads: usize,
-) -> SimReport {
-    let cores: Vec<usize> = (0..sys.num_cores).collect();
-    let parts = par::map(&cores, threads, |_, &core| {
-        run_core_shard_with_events(workload, system, exp, sys, core)
-    });
-    convolve_shards(&parts, sys)
-}
-
-/// The post-hoc contention convolution: deterministically merges
-/// per-shard L2 event timelines through a reconstruction of the *shared*
-/// L2 — one bank-occupancy / `mem_gap` channel ([`ChannelModel`], the
-/// same arithmetic the live L2 applies) plus one shared instruction
-/// directory — and folds the difference back into the merged report.
-///
-/// Private slices distort the coupled CMP in two opposite directions,
-/// and the replay reconstructs both:
-///
-/// * **destructive interference** — bank queueing and memory-channel
-///   serialization between cores vanishes in private slices. The merged
-///   timeline replays through one shared channel, and added delay is
-///   charged to the waiting core.
-/// * **constructive interference** — in the coupled CMP the first core
-///   to fetch an instruction block warms it for every other core, while
-///   each private slice pays its own memory trip. The replay tracks a
-///   shared directory over the merged instruction events: a block
-///   recorded as a private miss that an earlier event (any shard)
-///   already brought in becomes a shared-L2 hit, crediting the memory
-///   round-trip back to the core and freeing the memory channel. (A
-///   private *hit* is always a shared hit too: the shared warm set is a
-///   superset of every private one.)
-///
-/// The replay is **closed-loop**: each shard carries a signed skew — net
-/// contention absorbed minus sharing recovered so far — and every one of
-/// its events issues at `recorded issue + skew`, exactly as the real
-/// core's requests would slide under those effects. (An open-loop replay
-/// at recorded issue times diverges as soon as combined demand exceeds
-/// channel capacity.) Events are processed in adjusted-issue order via a
-/// k-way merge (ties broken by shard then sequence — a total order, so
-/// any shard schedule reconverges bit-identically).
-///
-/// Only *exposed* deltas move a shard's skew and cycle count:
-/// instruction fetches (the fetch unit spins on them — also reflected in
-/// the fetch-stall counter) and memory-bound data misses (hundreds of
-/// cycles, past what the ROB can overlap). Bank jitter on L2-hit data,
-/// prefetches, IML traffic, and writebacks reshapes channel occupancy
-/// and directory state — exactly its coupled-CMP role — without being
-/// waited on.
-///
-/// The merged report's `queue_delay`, `inst_hits`/`inst_misses`, and
-/// `mem_transfers` are replaced by their reconstructed shared-L2 values;
-/// the gross charge and credit are exposed as `contended_cycles` /
-/// `shared_hit_cycles` counters; and the consumed timelines are dropped
-/// (the result encodes as an eventless layout-1 report).
-///
-/// # Panics
-///
-/// Panics if any part is not a single-core shard report.
-pub fn convolve_shards(parts: &[SimReport], sys: &SystemConfig) -> SimReport {
-    assert!(
-        parts.iter().all(|p| p.cores.len() == 1),
-        "convolve_shards expects single-core shard reports"
-    );
-    let mem_latency = sys.mem_latency as i64;
-    // What each shard observed privately, per event: bank queueing and,
-    // on a miss, the memory wait + round-trip, kept separate so each
-    // event kind can expose the component the core actually waits on.
-    let private: Vec<Vec<(i64, i64)>> = parts
-        .iter()
-        .map(|p| {
-            let mut model = ChannelModel::new(sys);
-            p.l2_events
-                .iter()
-                .map(|e| {
-                    let d = model.issue(e);
-                    let mem = if e.hit {
-                        0
-                    } else {
-                        d.mem_wait as i64 + mem_latency
-                    };
-                    (d.queue as i64, mem)
-                })
-                .collect()
-        })
-        .collect();
-    // How much of each event's latency the shard's private timeline
-    // actually absorbed: the gap to the shard's next event. Overlapped
-    // trips (a burst of next-line prefetches in flight together) issue
-    // back-to-back, so only the last event before a stall carries a
-    // large gap — crediting a converted miss more than its gap would
-    // compress the timeline below what the private run ever spent.
-    let gap_to_next: Vec<Vec<i64>> = parts
-        .iter()
-        .map(|p| {
-            (0..p.l2_events.len())
-                .map(|i| match p.l2_events.get(i + 1) {
-                    Some(next) => (next.issue - p.l2_events[i].issue) as i64,
-                    None => (p.cycles.saturating_sub(p.l2_events[i].issue)) as i64,
-                })
-                .collect()
-        })
-        .collect();
-    // K-way merge by adjusted issue time. `Reverse` turns the max-heap
-    // into a min-heap; the (time, shard, index) key is a total order.
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-    let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = parts
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| !p.l2_events.is_empty())
-        .map(|(s, p)| Reverse((p.l2_events[0].issue, s, 0)))
-        .collect();
-    let mut shared = ChannelModel::new(sys);
-    // Seed the shared directory with the union of the shards' warm sets:
-    // in the coupled CMP the warmup phases of all cores warmed *one* L2,
-    // so a block any shard warmed is warm for every core. Sorted +
-    // deduplicated insertion keeps the seeding deterministic.
-    let mut directory = SetAssocCache::new(sys.l2_bytes, sys.l2_ways);
-    let mut warm: Vec<BlockAddr> = parts
-        .iter()
-        .flat_map(|p| p.l2_warm_blocks.iter().copied())
-        .collect();
-    warm.sort_unstable();
-    warm.dedup();
-    // Blocks the shared directory has ever held in this reconstruction:
-    // a private hit on a block the shared L2 tracked and evicted is a
-    // capacity miss the coupled CMP would take. Membership-only, so the
-    // deterministic open-addressed BlockMap does the job of a HashSet.
-    let mut tracked_blocks: tifs_collections::BlockMap<()> = tifs_collections::BlockMap::new();
-    for b in warm {
-        tracked_blocks.insert(b, ());
-        directory.insert(b);
-    }
-    let mut shared_queue = 0u64;
-    let mut inst_hits = 0u64;
-    let mut inst_misses = 0u64;
-    let mut mem_transfers = 0u64;
-    // Per-shard signed skew: net contention absorbed minus sharing
-    // recovered so far. It both shifts the shard's later issue times in
-    // the replay and, at the end, is the shard's total cycle adjustment.
-    let mut skew = vec![0i64; parts.len()];
-    let mut net_fetch = vec![0i64; parts.len()];
-    let mut charged = 0u64;
-    let mut credited = 0u64;
-    // Hard physical bound on sharing credits: a shard cannot recover
-    // more fetch-side time than its private run actually spent stalled.
-    // (A latency-hiding prefetcher may leave a converted miss's whole
-    // trip unexposed — the gap cap alone cannot see that.)
-    let mut credit_budget: Vec<i64> = parts
-        .iter()
-        .map(|p| p.cores[0].fetch_stall_cycles as i64)
-        .collect();
-    while let Some(Reverse((adjusted, s, i))) = heap.pop() {
-        let e = &parts[s].l2_events[i];
-        // Shared-directory outcome for instruction-side events: a
-        // private hit is warm in the shared L2 too (the union of warm
-        // sets), and a private miss becomes a hit once any shard has
-        // fetched the block inside the measured window.
-        let instruction = matches!(e.kind, L2ReqKind::IFetch | L2ReqKind::IPrefetch);
-        let hit = if instruction {
-            let resident = directory.access(e.block);
-            let tracked = tracked_blocks.contains(e.block);
-            // A private hit is warm in the shared L2 too (union of warm
-            // sets) — unless the shared directory has tracked the block
-            // in this window and evicted it again: four cores' working
-            // sets share one L2, and that capacity pressure is real in
-            // the coupled CMP. A private miss becomes a hit once any
-            // shard has fetched the block inside the window.
-            let warm = resident || (e.hit && !tracked);
-            if warm {
-                inst_hits += 1;
-            } else {
-                inst_misses += 1;
-            }
-            directory.insert(e.block);
-            tracked_blocks.insert(e.block, ());
-            warm
-        } else {
-            e.hit
-        };
-        let d = shared.issue(&tifs_sim::l2::L2Event {
-            issue: adjusted,
-            hit,
-            ..*e
-        });
-        shared_queue += d.queue;
-        if !hit {
-            mem_transfers += 1;
-        }
-        let shared_mem = if hit {
-            0
-        } else {
-            d.mem_wait as i64 + mem_latency
-        };
-        let (priv_queue, priv_mem) = private[s][i];
-        let converted = hit && !e.hit;
-        // What of the delta the core actually waits on, by kind:
-        // * demand instruction fetches expose everything (the fetch unit
-        //   spins on the fill); a warm-shared conversion (miss → hit)
-        //   credits the trip back, capped by the gap the stall actually
-        //   carved into the private timeline;
-        // * next-line / stream prefetches expose only their memory
-        //   round-trip and only up to that same gap — overlapped trips
-        //   in a burst collapse to the one stall the core observed —
-        //   never bank jitter, which the prefetch distance hides;
-        // * L2-missing data accesses stall the ROB for hundreds of
-        //   cycles and expose everything; L2-hit data jitter is
-        //   overlapped by the out-of-order window;
-        // * IML traffic and writebacks are never waited on.
-        let delta = match e.kind {
-            L2ReqKind::IFetch if converted => {
-                d.queue as i64 - (priv_queue + priv_mem).min(gap_to_next[s][i])
-            }
-            L2ReqKind::IFetch => (d.queue as i64 + shared_mem) - (priv_queue + priv_mem),
-            L2ReqKind::IPrefetch if converted => -priv_mem.min(gap_to_next[s][i]),
-            L2ReqKind::Data if !e.hit => (d.queue as i64 + shared_mem) - (priv_queue + priv_mem),
-            L2ReqKind::IPrefetch
-            | L2ReqKind::Data
-            | L2ReqKind::ImlRead
-            | L2ReqKind::ImlWrite
-            | L2ReqKind::Writeback => 0,
-        };
-        let delta = if delta < 0 {
-            let granted = (-delta).min(credit_budget[s]);
-            credit_budget[s] -= granted;
-            -granted
-        } else {
-            delta
-        };
-        if delta != 0 {
-            skew[s] += delta;
-            if delta >= 0 {
-                charged += delta as u64;
-            } else {
-                credited += (-delta) as u64;
-            }
-            if matches!(e.kind, L2ReqKind::IFetch | L2ReqKind::IPrefetch) {
-                net_fetch[s] += delta;
-            }
-        }
-        if let Some(next) = parts[s].l2_events.get(i + 1) {
-            // A credited shard runs ahead of its private timeline, but
-            // never issues before cycle 0 of the window.
-            let at = next.issue as i64 + skew[s];
-            heap.push(Reverse((at.max(0) as u64, s, i + 1)));
-        }
-    }
-    let mut merged = SimReport::merge_shards(parts);
-    merged.l2_events.clear();
-    merged.l2_warm_blocks.clear();
-    merged.l2.queue_delay = shared_queue;
-    merged.l2.inst_hits = inst_hits;
-    merged.l2.inst_misses = inst_misses;
-    // Data/writeback transfers kept their recorded outcomes; instruction
-    // transfers were reconstructed against the shared directory.
-    merged.l2.mem_transfers = mem_transfers;
-    merged.cycles = 0;
-    for (i, part) in parts.iter().enumerate() {
-        let cycles = (part.cycles as i64 + skew[i]).max(1) as u64;
-        merged.cores[i].cycles = (merged.cores[i].cycles as i64 + skew[i]).max(1) as u64;
-        merged.cores[i].fetch_stall_cycles =
-            (merged.cores[i].fetch_stall_cycles as i64 + net_fetch[i]).max(0) as u64;
-        merged.cycles = merged.cycles.max(cycles);
-    }
-    merged
-        .prefetcher
-        .push(("contended_cycles".into(), charged as f64));
-    merged
-        .prefetcher
-        .push(("shared_hit_cycles".into(), credited as f64));
-    merged
+        },
+    )
 }
 
 /// A set of workloads built once and shared by every figure that runs on
@@ -1369,7 +947,6 @@ pub struct ExperimentGrid {
     workloads: Vec<WorkloadSpec>,
     systems: Vec<SystemSpec>,
     threads: Option<usize>,
-    mode: Option<ExecMode>,
 }
 
 impl ExperimentGrid {
@@ -1381,7 +958,6 @@ impl ExperimentGrid {
             workloads: Vec::new(),
             systems: Vec::new(),
             threads: None,
-            mode: None,
         }
     }
 
@@ -1415,39 +991,15 @@ impl ExperimentGrid {
         self
     }
 
-    /// Chooses the execution mode explicitly: `true` shards every cell's
-    /// cores into independent single-core work units
-    /// ([`run_core_shard`]), `false` forces the coupled CMP. Unset grids
-    /// follow the environment ([`SHARD_CONTENTION_ENV`] / [`SHARD_ENV`]).
-    /// Sharded cells model private L2 slices, so the modes are distinct
-    /// content in the report store.
-    pub fn sharded(self, sharded: bool) -> Self {
-        self.mode(if sharded {
-            ExecMode::Sharded
-        } else {
-            ExecMode::Coupled
-        })
-    }
-
-    /// Chooses the contention-aware sharded mode explicitly: per-core
-    /// shards record their L2 timelines and [`convolve_shards`]
-    /// reconstructs shared-L2 queueing post hoc.
-    pub fn sharded_contended(self) -> Self {
-        self.mode(ExecMode::ShardedContended)
-    }
-
-    /// Chooses any execution mode explicitly.
-    pub fn mode(mut self, mode: ExecMode) -> Self {
-        self.mode = Some(mode);
+    /// Chooses the execution mode. [`ExecMode::Coupled`] is the only
+    /// mode, so this changes nothing; it stays so callers that name the
+    /// mode keep building.
+    pub fn mode(self, _mode: ExecMode) -> Self {
         self
     }
 
     fn worker_count(&self) -> usize {
         self.threads.unwrap_or_else(par::parallelism)
-    }
-
-    fn exec_mode(&self) -> ExecMode {
-        self.mode.unwrap_or_else(ExecMode::from_env)
     }
 
     /// Builds every workload once, then runs all (workload × system)
@@ -1465,103 +1017,38 @@ impl ExperimentGrid {
     ///
     /// With a [`ReportStore`] attached to the lab, each cell first
     /// consults the store under its [`report_key`]; only missing cells
-    /// are simulated (fanned across threads — as whole cells in coupled
-    /// mode, as per-core shards in sharded mode) and written through.
-    /// The store is a pure cache: attached and detached runs produce
+    /// are simulated (fanned across threads) and written through. The
+    /// store is a pure cache: attached and detached runs produce
     /// identical results.
     pub fn run_on(&self, lab: &Lab) -> GridResults {
-        let mode = self.exec_mode();
-        let threads = self.worker_count();
-        let store = lab.report_store();
-        let cells: Vec<(usize, usize)> = (0..lab.len())
-            .flat_map(|w| (0..self.systems.len()).map(move |s| (w, s)))
-            .collect();
-        let key_of = |w: usize, s: usize| {
-            report_key(
-                lab.spec(w),
-                lab.exp().seed,
-                &self.systems[s],
-                &self.exp,
-                &self.sys,
-                mode,
-            )
-        };
-        // Resolve cached cells first (cheap, serial disk reads), then fan
-        // only the missing ones out across workers.
-        let mut reports: Vec<Option<SimReport>> = match store {
-            Some(store) => cells
-                .iter()
-                .map(|&(w, s)| load_cached_report(store, &key_of(w, s)))
-                .collect(),
-            None => cells.iter().map(|_| None).collect(),
-        };
-        let missing: Vec<(usize, usize)> = cells
-            .iter()
-            .zip(&reports)
-            .filter(|(_, cached)| cached.is_none())
-            .map(|(&cell, _)| cell)
-            .collect();
-        let computed: Vec<SimReport> = if mode.is_sharded() {
-            // One work unit per (cell, core): a single wide cell spreads
-            // its cores across every worker.
-            let record = mode == ExecMode::ShardedContended;
-            let units: Vec<(usize, usize, usize)> = missing
-                .iter()
-                .flat_map(|&(w, s)| (0..self.sys.num_cores).map(move |c| (w, s, c)))
-                .collect();
-            let parts = par::map(&units, threads, |_, &(w, s, c)| {
-                run_core_shard_inner(
-                    lab.workload(w),
+        let rows = resolve_rows(
+            lab.report_store(),
+            lab.len(),
+            &self.systems,
+            self.worker_count(),
+            |w, s| {
+                report_key(
+                    lab.spec(w),
+                    lab.exp().seed,
                     &self.systems[s],
                     &self.exp,
                     &self.sys,
-                    c,
-                    record,
+                    ExecMode::Coupled,
                 )
-            });
-            parts
-                .chunks(self.sys.num_cores.max(1))
-                .map(|chunk| {
-                    if record {
-                        convolve_shards(chunk, &self.sys)
-                    } else {
-                        SimReport::merge_shards(chunk)
-                    }
-                })
-                .collect()
-        } else {
-            par::map(&missing, threads, |_, &(w, s)| {
-                run_cell(lab.workload(w), &self.systems[s], &self.exp, &self.sys)
-            })
-        };
-        let mut computed_iter = computed.into_iter();
-        for (slot, &(w, s)) in reports.iter_mut().zip(&cells) {
-            if slot.is_none() {
-                let report = computed_iter.next().expect("one report per missing cell");
-                if let Some(store) = store {
-                    if let Err(e) = store.save(&key_of(w, s), &report.to_canonical_bytes()) {
-                        eprintln!(
-                            "[report-store] failed to persist cell ({}, {}): {e}",
-                            lab.spec(w).name,
-                            self.systems[s].name()
-                        );
-                    }
-                }
-                *slot = Some(report);
-            }
-        }
-        let mut rows: Vec<GridRow> = (0..lab.len())
-            .map(|w| GridRow {
-                workload: lab.spec(w).name.to_string(),
-                reports: Vec::with_capacity(self.systems.len()),
-            })
-            .collect();
-        for ((w, _), report) in cells.into_iter().zip(reports) {
-            rows[w].reports.push(report.expect("every cell resolved"));
-        }
+            },
+            |w| lab.spec(w).name.to_string(),
+            |_| |w, s| run_cell(lab.workload(w), &self.systems[s], &self.exp, &self.sys),
+        );
         GridResults {
             systems: self.systems.clone(),
-            rows,
+            rows: rows
+                .into_iter()
+                .enumerate()
+                .map(|(w, reports)| GridRow {
+                    workload: lab.spec(w).name.to_string(),
+                    reports,
+                })
+                .collect(),
         }
     }
 }
@@ -1875,116 +1362,6 @@ mod tests {
             report_key(&spec, exp.seed, &labelled, &exp, &sys, ExecMode::Coupled),
             report_key(&spec, exp.seed, &relabelled, &exp, &sys, ExecMode::Coupled)
         );
-        // Execution mode is distinct content: all three modes address
-        // disjoint store entries.
-        let sharded = report_key(&spec, exp.seed, &system, &exp, &sys, ExecMode::Sharded);
-        let contended = report_key(
-            &spec,
-            exp.seed,
-            &system,
-            &exp,
-            &sys,
-            ExecMode::ShardedContended,
-        );
-        assert_ne!(base, sharded);
-        assert_ne!(base, contended);
-        assert_ne!(sharded, contended);
-    }
-
-    #[test]
-    fn contended_cell_is_thread_count_invariant_and_reconstructs_contention() {
-        let workload = Workload::build(&WorkloadSpec::tiny_test(), 3);
-        let exp = tiny_exp();
-        let mut sys = SystemConfig::table2();
-        sys.num_cores = 2; // keep the unit test fast but multi-core
-        let system = SystemSpec::Kind(SystemKind::TifsVirtualized);
-        let sequential = run_cell_sharded_contended(&workload, &system, &exp, &sys, 1);
-        let parallel = run_cell_sharded_contended(&workload, &system, &exp, &sys, 4);
-        assert_eq!(
-            sequential.to_canonical_bytes(),
-            parallel.to_canonical_bytes(),
-            "shard scheduling must not change a single byte"
-        );
-        // The convolution consumes the timelines and reports its gross
-        // charge and credit explicitly.
-        assert!(sequential.l2_events.is_empty(), "events are consumed");
-        assert!(
-            sequential.l2_warm_blocks.is_empty(),
-            "warm sets are consumed"
-        );
-        assert!(sequential.prefetcher_counter("contended_cycles").is_some());
-        assert!(sequential.prefetcher_counter("shared_hit_cycles").is_some());
-        // The reconstruction moves timing (charges and credits), never
-        // work: retirement counts match the private-slice run exactly,
-        // and the two modes are distinct content.
-        let plain = run_cell_sharded(&workload, &system, &exp, &sys, 1);
-        for (contended_core, plain_core) in sequential.cores.iter().zip(&plain.cores) {
-            assert_eq!(contended_core.retired, plain_core.retired);
-        }
-        assert_ne!(
-            sequential.to_canonical_bytes(),
-            plain.to_canonical_bytes(),
-            "contended and plain sharded reports must differ"
-        );
-    }
-
-    #[test]
-    fn convolution_of_one_shard_recovers_the_private_run() {
-        // A single shard merged through the shared channel sees exactly
-        // the channel it already ran against: zero added delay, identical
-        // core timing.
-        let workload = Workload::build(&WorkloadSpec::tiny_test(), 3);
-        let exp = tiny_exp();
-        let mut sys = SystemConfig::table2();
-        sys.num_cores = 1;
-        let system = SystemSpec::Kind(SystemKind::TifsVirtualized);
-        let part = run_core_shard_with_events(&workload, &system, &exp, &sys, 0);
-        assert!(!part.l2_events.is_empty(), "the shard must record events");
-        let convolved = convolve_shards(std::slice::from_ref(&part), &sys);
-        assert_eq!(
-            convolved.prefetcher_counter("contended_cycles"),
-            Some(0.0),
-            "one shard alone has nobody to contend with"
-        );
-        assert_eq!(convolved.cores, part.cores);
-        assert_eq!(convolved.cycles, part.cycles);
-    }
-
-    #[test]
-    fn event_recording_does_not_perturb_shard_timing() {
-        let workload = Workload::build(&WorkloadSpec::tiny_test(), 3);
-        let exp = tiny_exp();
-        let sys = SystemConfig::table2();
-        let system = SystemSpec::Kind(SystemKind::TifsVirtualized);
-        let plain = run_core_shard(&workload, &system, &exp, &sys, 0);
-        let mut recorded = run_core_shard_with_events(&workload, &system, &exp, &sys, 0);
-        assert!(!recorded.l2_events.is_empty());
-        assert!(!recorded.l2_warm_blocks.is_empty());
-        recorded.l2_events.clear();
-        recorded.l2_warm_blocks.clear();
-        assert_eq!(
-            recorded.to_canonical_bytes(),
-            plain.to_canonical_bytes(),
-            "recording must be a pure observer"
-        );
-    }
-
-    #[test]
-    fn sharded_cell_is_thread_count_invariant() {
-        let workload = Workload::build(&WorkloadSpec::tiny_test(), 3);
-        let exp = tiny_exp();
-        let mut sys = SystemConfig::table2();
-        sys.num_cores = 2; // keep the unit test fast but multi-core
-        let system = SystemSpec::Kind(SystemKind::TifsVirtualized);
-        let sequential = run_cell_sharded(&workload, &system, &exp, &sys, 1);
-        let parallel = run_cell_sharded(&workload, &system, &exp, &sys, 4);
-        assert_eq!(
-            sequential.to_canonical_bytes(),
-            parallel.to_canonical_bytes(),
-            "shard scheduling must not change a single byte"
-        );
-        assert_eq!(sequential.cores.len(), 2);
-        assert_eq!(sequential.total_retired(), 2 * exp.instructions);
     }
 
     #[test]
@@ -1994,8 +1371,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let grid = ExperimentGrid::new(tiny_exp())
             .with_system_config(SystemConfig::single_core())
-            .systems([SystemKind::NextLine, SystemKind::TifsVirtualized])
-            .sharded(false);
+            .systems([SystemKind::NextLine, SystemKind::TifsVirtualized]);
         let mk = || {
             Lab::build(vec![WorkloadSpec::tiny_test()], tiny_exp())
                 .with_report_store(ReportStore::new(&dir).expect("store dir"))
@@ -2012,6 +1388,65 @@ mod tests {
         // The store is a pure cache: a storeless lab agrees exactly.
         let plain = grid.run_on(&Lab::build(vec![WorkloadSpec::tiny_test()], tiny_exp()));
         assert_eq!(format!("{plain:?}"), format!("{warm:?}"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_contended_entry_under_a_coupled_key_is_evicted_and_recomputed() {
+        let dir =
+            std::env::temp_dir().join(format!("tifs-engine-retired-entry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let exp = tiny_exp();
+        let sys = SystemConfig::single_core();
+        let system = SystemSpec::Kind(SystemKind::NextLine);
+        let grid = ExperimentGrid::new(exp)
+            .with_system_config(sys.clone())
+            .systems([system.clone()]);
+        let mk = || {
+            Lab::build(vec![WorkloadSpec::tiny_test()], exp)
+                .with_report_store(ReportStore::new(&dir).expect("store dir"))
+        };
+        let fresh = grid.run_on(&Lab::build(vec![WorkloadSpec::tiny_test()], exp));
+        let fresh_bytes = fresh.rows[0].reports[0].to_canonical_bytes();
+        // The layout-1 payload followed by a retired tag-2 event section
+        // (tag, one event of issue/block/kind|hit, one warm block). Only a
+        // bug or a hand-copied file could put a contended cell's bytes
+        // under a coupled key, but the decoder must still refuse them.
+        let mut blob = fresh_bytes.clone();
+        for v in [2u64, 1, 7, 40, 0, 1, 40] {
+            blob.extend_from_slice(&v.to_le_bytes());
+        }
+        let key = report_key(
+            &WorkloadSpec::tiny_test(),
+            exp.seed,
+            &system,
+            &exp,
+            &sys,
+            ExecMode::Coupled,
+        );
+        let lab = mk();
+        let store = lab.report_store().unwrap();
+        store.save(&key, &blob).expect("save");
+        assert!(
+            load_cached_report(store, &key).is_none(),
+            "tag 2 must not decode"
+        );
+        assert_eq!(store.stats().evictions, 1, "the entry is evicted loudly");
+        store.save(&key, &blob).expect("save");
+        let rerun_lab = mk();
+        let rerun = grid.run_on(&rerun_lab);
+        let s = rerun_lab.report_store().unwrap().stats();
+        assert_eq!((s.evictions, s.writes), (1, 1), "evicted, then recomputed");
+        assert_eq!(rerun.rows[0].reports[0].to_canonical_bytes(), fresh_bytes);
+        let warm_lab = mk();
+        let warm = grid.run_on(&warm_lab);
+        let s = warm_lab.report_store().unwrap().stats();
+        assert_eq!(
+            (s.hits, s.misses, s.writes),
+            (1, 0, 0),
+            "recomputed entry is warm"
+        );
+        assert_eq!(warm.rows[0].reports[0].to_canonical_bytes(), fresh_bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -17,10 +17,6 @@
 //!   (13 B/node + 8 B/index slot);
 //! * **Grammar-RLE** — the same with run-length-encoded terminals.
 //!
-//! Cells always run the coupled CMP, like the sharing study: the shared
-//! pool degenerates under per-core sharding, and keeping one execution
-//! mode keeps the report-store address space stable.
-//!
 //! # Measured result (default scale, 2M+2M instructions, seed 42)
 //!
 //! The grammar arm **loses** to raw-history TIFS at every budget:
@@ -51,7 +47,7 @@
 use tifs_core::{entries_per_core_for_kb, ImlStorage, MetadataOrg, TifsConfig, TifsGrammarConfig};
 use tifs_sim::config::SystemConfig;
 
-use crate::engine::{ExecMode, ExperimentGrid, Lab, SystemSpec};
+use crate::engine::{ExperimentGrid, Lab, SystemSpec};
 use crate::figures::fig_sharing::SHARED_WAYS;
 use crate::report::render_table;
 use crate::sink::{Cell, StructuredReport};
@@ -198,8 +194,7 @@ pub fn run_grid_with_threads(
             .collect();
         let mut grid = ExperimentGrid::new(*lab.exp())
             .with_system_config(sys)
-            .systems(columns.iter().map(|(_, _, s)| s.clone()))
-            .mode(ExecMode::Coupled);
+            .systems(columns.iter().map(|(_, _, s)| s.clone()));
         if let Some(n) = threads {
             grid = grid.threads(n);
         }

@@ -1,15 +1,14 @@
 //! The engine's central guarantee: a grid yields bit-identical reports
 //! run-to-run and regardless of how its cells are scheduled (serial,
-//! parallel, oversubscribed). Every later sharding/batching/caching layer
-//! builds on this.
+//! parallel, oversubscribed). Every batching/caching layer builds on
+//! this.
 
-use tifs_experiments::engine::{run_cell, run_cell_sharded, ExperimentGrid, Lab, SystemSpec};
+use tifs_experiments::engine::{run_cell, ExperimentGrid, Lab, SystemSpec};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_experiments::sink::{self, ResultsSink};
 use tifs_sim::config::SystemConfig;
-use tifs_sim::stats::SimReport;
 use tifs_trace::store::{ReportStore, TraceStore};
-use tifs_trace::workload::{Workload, WorkloadSpec};
+use tifs_trace::workload::WorkloadSpec;
 
 fn exp() -> ExpConfig {
     ExpConfig {
@@ -124,78 +123,6 @@ fn cold_start_equals_warm_start_byte_identically() {
         .collect();
     assert_eq!(plain_traces, warm_traces);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sharded_cell_bytes_identical_across_1_2_8_shards() {
-    // Intra-cell sharding: every core of a cell runs as an independent
-    // single-core work unit and the per-core reports merge
-    // deterministically. The shard/thread count is pure scheduling — the
-    // decomposition is always per-core — so the sequential run (1 shard
-    // worker) and any parallel run must produce byte-identical
-    // `SimReport`s through the canonical codec.
-    let workload = Workload::build(&WorkloadSpec::tiny_test(), 42);
-    let exp = exp();
-    let sys = SystemConfig::table2(); // 4 cores — wider than 1, narrower than 8
-    for system in [
-        SystemSpec::Kind(SystemKind::NextLine),
-        SystemSpec::Kind(SystemKind::TifsVirtualized),
-    ] {
-        let sequential = run_cell_sharded(&workload, &system, &exp, &sys, 1);
-        let sequential_bytes = sequential.to_canonical_bytes();
-        for shards in [2usize, 8] {
-            let parallel = run_cell_sharded(&workload, &system, &exp, &sys, shards);
-            assert_eq!(
-                parallel.to_canonical_bytes(),
-                sequential_bytes,
-                "{} with {shards} shards diverged from the sequential run",
-                system.name()
-            );
-        }
-        // The codec is faithful: the bytes decode back to the report.
-        assert_eq!(
-            SimReport::from_canonical_bytes(&sequential_bytes).expect("decode"),
-            sequential
-        );
-        assert_eq!(sequential.cores.len(), sys.num_cores);
-        assert_eq!(
-            sequential.total_retired(),
-            sys.num_cores as u64 * exp.instructions
-        );
-    }
-}
-
-#[test]
-fn sharded_grids_schedule_independent_and_distinct_from_coupled() {
-    // A sharded grid is deterministic at every worker count...
-    let sharded = |threads: usize| fingerprint(&grid().sharded(true).threads(threads).run());
-    let serial = sharded(1);
-    for threads in [2, 8] {
-        assert_eq!(
-            serial,
-            sharded(threads),
-            "{threads}-worker sharded grid diverged"
-        );
-    }
-    // ...and on a multi-core cell, sharding is an explicit execution
-    // mode, not a silent substitute: the coupled CMP couples cores
-    // through the shared L2 and one prefetcher, the sharded mode gives
-    // each core a private slice. (On a single-core cell the two modes
-    // coincide for seed-independent systems like the grid's — but not in
-    // general: `run_core_shard` decorrelates per-shard prefetcher seeds,
-    // so probabilistic baselines differ even at one core, and the two
-    // modes always address distinct report-store entries.)
-    let workload = Workload::build(&WorkloadSpec::tiny_test(), 42);
-    let mut two_cores = SystemConfig::table2();
-    two_cores.num_cores = 2;
-    let system = SystemSpec::Kind(SystemKind::TifsVirtualized);
-    let coupled = run_cell(&workload, &system, &exp(), &two_cores);
-    let sharded_cell = run_cell_sharded(&workload, &system, &exp(), &two_cores, 1);
-    assert_ne!(
-        coupled.to_canonical_bytes(),
-        sharded_cell.to_canonical_bytes(),
-        "sharded and coupled modes should differ on a shared-L2 multi-core cell"
-    );
 }
 
 #[test]

@@ -9,16 +9,13 @@
 //! Extending the key schema is allowed only in ways that leave default
 //! and legacy configurations hashing exactly as before: hash a new
 //! field *append-only*, contributing nothing in its default state (the
-//! `MetadataOrg::PrivatePerCore` arm of `hash_tifs_config`, and before
-//! it the `ExecMode` discriminants that still hash as the pre-contention
-//! bool). Update these pins only with a deliberate, store-invalidating
+//! `MetadataOrg::PrivatePerCore` arm of `hash_tifs_config`, and the
+//! `ExecMode::Coupled` discriminant that still hashes as the original
+//! `false`). Update these pins only with a deliberate, store-invalidating
 //! key-format bump, and say so in the commit.
 
 use tifs_core::{MetadataOrg, TifsConfig, TifsGrammarConfig};
-use tifs_experiments::engine::{
-    report_key, report_key_cell, run_cell, run_cell_sharded, run_cell_sharded_contended, ExecMode,
-    SystemSpec,
-};
+use tifs_experiments::engine::{report_key, report_key_cell, run_cell, ExecMode, SystemSpec};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_sim::config::SystemConfig;
 use tifs_trace::workload::{CellWorkload, Workload, WorkloadSpec};
@@ -35,7 +32,6 @@ struct Pin {
     label: &'static str,
     spec: fn() -> WorkloadSpec,
     system: fn() -> SystemSpec,
-    mode: ExecMode,
     key: u128,
 }
 
@@ -49,58 +45,32 @@ fn ablated() -> SystemSpec {
     )
 }
 
-/// Keys minted by the pre-`MetadataOrg` schema, covering the coupled,
-/// plain-sharded, and contended address spaces over named kinds, an
+/// Keys minted by the pre-`MetadataOrg` schema, covering named kinds, an
 /// ablation `TifsConfig`, and a payload-carrying probabilistic kind.
 const PINS: &[Pin] = &[
     Pin {
         label: "web_zeus/next-line/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::NextLine),
-        mode: ExecMode::Coupled,
         key: 0x72e4_a7d9_20d0_d473_6157_eec7_af05_aefa,
     },
     Pin {
         label: "web_zeus/tifs-virtualized/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::Coupled,
         key: 0x9010_c99d_be23_aa62_33b4_4185_100c_49bf,
-    },
-    Pin {
-        label: "web_zeus/tifs-virtualized/sharded",
-        spec: WorkloadSpec::web_zeus,
-        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::Sharded,
-        key: 0x4c97_9b31_2623_aa5c_f272_ee04_4c88_55de,
-    },
-    Pin {
-        label: "web_zeus/tifs-virtualized/contended",
-        spec: WorkloadSpec::web_zeus,
-        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::ShardedContended,
-        key: 0x4dc9_cc3c_6b0a_eb3e_8a2b_d830_b2e0_1abe,
     },
     Pin {
         label: "oltp_db2/ablation-no-eos/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: ablated,
-        mode: ExecMode::Coupled,
         key: 0x1e21_aab5_a427_1e07_8fe0_84d9_5c44_111d,
     },
     Pin {
         label: "oltp_db2/probabilistic-25/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::Probabilistic(0.25)),
-        mode: ExecMode::Coupled,
         key: 0x7ca1_48af_c1ac_9eeb_42b6_2641_47c9_dda0,
-    },
-    Pin {
-        label: "tiny_test/tifs-dedicated/sharded",
-        spec: WorkloadSpec::tiny_test,
-        system: || SystemSpec::Kind(SystemKind::TifsDedicated),
-        mode: ExecMode::Sharded,
-        key: 0x4402_97da_a33d_29b1_d27d_10c3_4a95_3b90,
     },
 ];
 
@@ -116,7 +86,7 @@ fn pre_sharing_axis_keys_are_unchanged() {
             &(pin.system)(),
             &exp,
             &sys,
-            pin.mode,
+            ExecMode::Coupled,
         );
         if key.0 != pin.key {
             drifted.push(format!(
@@ -174,7 +144,7 @@ fn explicit_private_org_hashes_as_the_legacy_default() {
 // simulation and not its content. Budgets are deliberately small so the
 // suite stays cheap in debug runs — every hot structure is still
 // exercised (fill queues, L2 directory, index table, IMLs, SVBs,
-// shared-pool stamps, the sharded merge, and the contention replay).
+// and shared-pool stamps).
 
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -207,7 +177,6 @@ struct BytePin {
     label: &'static str,
     spec: fn() -> WorkloadSpec,
     system: fn() -> SystemSpec,
-    mode: ExecMode,
     fnv: u64,
 }
 
@@ -216,63 +185,42 @@ const BYTE_PINS: &[BytePin] = &[
         label: "web_zeus/next-line/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::NextLine),
-        mode: ExecMode::Coupled,
         fnv: 0x579b_3738_f0ad_862a,
     },
     BytePin {
         label: "web_zeus/fdip/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::Fdip),
-        mode: ExecMode::Coupled,
         fnv: 0x284a_796b_1037_2b65,
     },
     BytePin {
         label: "oltp_db2/discontinuity/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::Discontinuity),
-        mode: ExecMode::Coupled,
         fnv: 0xd504_6722_78ae_138c,
     },
     BytePin {
         label: "oltp_db2/tifs-virtualized/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::Coupled,
         fnv: 0x8f2d_9eb6_e563_b0bb,
     },
     BytePin {
         label: "dss_qry2/tifs-dedicated/coupled",
         spec: WorkloadSpec::dss_qry2,
         system: || SystemSpec::Kind(SystemKind::TifsDedicated),
-        mode: ExecMode::Coupled,
         fnv: 0x2150_c656_ae8c_db92,
     },
     BytePin {
         label: "web_zeus/tifs-unbounded/coupled",
         spec: WorkloadSpec::web_zeus,
         system: || SystemSpec::Kind(SystemKind::TifsUnbounded),
-        mode: ExecMode::Coupled,
         fnv: 0x4804_4d28_6c8c_1382,
-    },
-    BytePin {
-        label: "web_zeus/tifs-virtualized/sharded",
-        spec: WorkloadSpec::web_zeus,
-        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::Sharded,
-        fnv: 0x4a8b_c73c_c398_e8a3,
-    },
-    BytePin {
-        label: "web_zeus/tifs-virtualized/contended",
-        spec: WorkloadSpec::web_zeus,
-        system: || SystemSpec::Kind(SystemKind::TifsVirtualized),
-        mode: ExecMode::ShardedContended,
-        fnv: 0x7c3c_0c23_3f3d_7bd8,
     },
     BytePin {
         label: "oltp_db2/shared-pool/coupled",
         spec: WorkloadSpec::oltp_db2,
         system: shared_pool,
-        mode: ExecMode::Coupled,
         fnv: 0xdd78_27cb_7370_15e8,
     },
 ];
@@ -285,13 +233,7 @@ fn pre_overhaul_report_bytes_are_unchanged() {
     for pin in BYTE_PINS {
         let workload = Workload::build(&(pin.spec)(), exp.seed);
         let system = (pin.system)();
-        let report = match pin.mode {
-            ExecMode::Coupled => run_cell(&workload, &system, &exp, &sys),
-            ExecMode::Sharded => run_cell_sharded(&workload, &system, &exp, &sys, 2),
-            ExecMode::ShardedContended => {
-                run_cell_sharded_contended(&workload, &system, &exp, &sys, 2)
-            }
-        };
+        let report = run_cell(&workload, &system, &exp, &sys);
         let fnv = fnv64(&report.to_canonical_bytes());
         if fnv != pin.fnv {
             drifted.push(format!(
@@ -330,23 +272,24 @@ fn grammar_systems_address_disjoint_content_from_every_pin() {
     ];
     let mut keys = Vec::new();
     for spec in &specs {
-        for mode in [
+        let key = report_key(
+            &WorkloadSpec::web_zeus(),
+            exp.seed,
+            spec,
+            &exp,
+            &sys,
             ExecMode::Coupled,
-            ExecMode::Sharded,
-            ExecMode::ShardedContended,
-        ] {
-            let key = report_key(&WorkloadSpec::web_zeus(), exp.seed, spec, &exp, &sys, mode);
-            for pin in PINS {
-                assert_ne!(
-                    key.0,
-                    pin.key,
-                    "{}/{mode:?} must not collide with pin {}",
-                    spec.name(),
-                    pin.label
-                );
-            }
-            keys.push((format!("{}/{mode:?}", spec.name()), key.0));
+        );
+        for pin in PINS {
+            assert_ne!(
+                key.0,
+                pin.key,
+                "{} must not collide with pin {}",
+                spec.name(),
+                pin.label
+            );
         }
+        keys.push((spec.name(), key.0));
     }
     for (i, (a_label, a)) in keys.iter().enumerate() {
         for (b_label, b) in &keys[i + 1..] {
@@ -374,7 +317,14 @@ fn mix_cells_address_disjoint_content_and_degenerate_mixes_hash_as_pins() {
     for pin in PINS {
         for copies in [1usize, 2, 4] {
             let cell = CellWorkload::Mix(vec![(pin.spec)(); copies]);
-            let key = report_key_cell(&cell, exp.seed, &(pin.system)(), &exp, &sys, pin.mode);
+            let key = report_key_cell(
+                &cell,
+                exp.seed,
+                &(pin.system)(),
+                &exp,
+                &sys,
+                ExecMode::Coupled,
+            );
             assert_eq!(
                 key.0, pin.key,
                 "{copies}-copy degenerate mix drifted from pin {}",
@@ -435,26 +385,20 @@ fn shared_orgs_address_disjoint_content_from_every_pin() {
                 ..TifsConfig::virtualized()
             },
         );
-        for mode in [
+        let key = report_key(
+            &WorkloadSpec::web_zeus(),
+            exp.seed,
+            &shared,
+            &exp,
+            &sys,
             ExecMode::Coupled,
-            ExecMode::Sharded,
-            ExecMode::ShardedContended,
-        ] {
-            let key = report_key(
-                &WorkloadSpec::web_zeus(),
-                exp.seed,
-                &shared,
-                &exp,
-                &sys,
-                mode,
+        );
+        for pin in PINS {
+            assert_ne!(
+                key.0, pin.key,
+                "{org:?} must not collide with pin {}",
+                pin.label
             );
-            for pin in PINS {
-                assert_ne!(
-                    key.0, pin.key,
-                    "{org:?}/{mode:?} must not collide with pin {}",
-                    pin.label
-                );
-            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //! blob is only readable if the struct layout matches what
 //! `SIM_REPORT_LAYOUT_VERSION` promised when it was written, the miss
 //! trace and report files carry `TIFM`/`TIFR` magic + version headers,
-//! and the experiment cache keys fold in `CONTENTION_MODEL_VERSION`.
+//! and the report store keys fold in the layout and format versions.
 //! Every PR since PR 3 has verified the bump-the-version-when-the-
 //! layout-changes discipline by hand; this pass mechanizes it.
 //!
@@ -96,21 +96,15 @@ const TARGETS: &[Target] = &[
         "SimReport",
         &[
             "SIM_REPORT_LAYOUT_VERSION",
-            "SIM_REPORT_EVENT_LAYOUT_VERSION",
             "SIM_REPORT_FLUSH_LAYOUT_VERSION",
         ],
     ),
     ct("crates/sim/src/stats.rs", "SIM_REPORT_LAYOUT_VERSION"),
-    ct("crates/sim/src/stats.rs", "SIM_REPORT_EVENT_LAYOUT_VERSION"),
     ct("crates/sim/src/stats.rs", "SIM_REPORT_FLUSH_LAYOUT_VERSION"),
     st(
         "crates/sim/src/l2.rs",
         "L2Stats",
         &["SIM_REPORT_LAYOUT_VERSION"],
-    ),
-    ct(
-        "crates/experiments/src/engine.rs",
-        "CONTENTION_MODEL_VERSION",
     ),
     ct("crates/trace/src/codec.rs", "MAGIC"),
     ct("crates/trace/src/codec.rs", "VERSION"),
@@ -445,7 +439,6 @@ pub struct SimReport {
     pub extras: Vec<(String, f64)>,
 }
 pub const SIM_REPORT_LAYOUT_VERSION: u32 = 1;
-pub const SIM_REPORT_EVENT_LAYOUT_VERSION: u32 = 2;
 ";
 
     fn analyzed(content: &str) -> Vec<AnalyzedFile> {

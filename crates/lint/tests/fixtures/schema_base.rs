@@ -14,4 +14,3 @@ pub struct SimReport {
 }
 
 pub const SIM_REPORT_LAYOUT_VERSION: u32 = 1;
-pub const SIM_REPORT_EVENT_LAYOUT_VERSION: u32 = 2;

@@ -104,7 +104,7 @@ impl<'a> Cmp<'a> {
             for core in &mut self.cores {
                 core.reset_stats(now);
             }
-            self.l2.reset_stats(now);
+            self.l2.reset_stats();
             self.pf.reset_counters();
         }
         // `cycles` covers only the measured window: per-core counters are
@@ -161,15 +161,6 @@ impl<'a> Cmp<'a> {
         self.now
     }
 
-    /// Enables or disables L2 event recording: with it on, every accepted
-    /// L2 request is timestamped into the report's `l2_events` timeline
-    /// (warmup events are discarded with the other warmup statistics).
-    /// The contention-aware sharded execution mode turns this on per
-    /// shard and convolves the recorded timelines post hoc.
-    pub fn set_record_l2_events(&mut self, on: bool) {
-        self.l2.set_record_events(on);
-    }
-
     /// Builds the report for the run so far.
     pub fn report(&self) -> SimReport {
         SimReport {
@@ -177,8 +168,6 @@ impl<'a> Cmp<'a> {
             l2: self.l2.stats().clone(),
             cycles: self.now,
             prefetcher: self.pf.counters(),
-            l2_events: self.l2.events().to_vec(),
-            l2_warm_blocks: self.l2.warm_blocks().to_vec(),
         }
     }
 }

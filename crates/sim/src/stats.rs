@@ -1,10 +1,7 @@
-//! Simulation statistics: per-core counters, whole-run reports, the
-//! canonical report codec (the payload of the persistent report store),
-//! and the deterministic merge of per-shard reports.
+//! Simulation statistics: per-core counters, whole-run reports, and the
+//! canonical report codec (the payload of the persistent report store).
 
-use tifs_trace::BlockAddr;
-
-use crate::l2::{L2Event, L2ReqKind, L2Stats};
+use crate::l2::L2Stats;
 
 /// Per-core counters collected during a timing run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -87,17 +84,6 @@ pub struct SimReport {
     pub cycles: u64,
     /// Prefetcher-specific named counters (e.g. SVB discards).
     pub prefetcher: Vec<(String, f64)>,
-    /// Recorded L2 access timeline (empty unless event recording was on —
-    /// the raw material of the contention-aware shard merge). Encoded as
-    /// a trailing versioned section; a report with no events encodes to
-    /// exactly the [`SIM_REPORT_LAYOUT_VERSION`] byte layout.
-    pub l2_events: Vec<L2Event>,
-    /// Instruction blocks resident in the L2 directory at the measurement
-    /// epoch (sorted; recorded only with event recording on). The
-    /// contention convolution unions these per-shard warm sets to seed
-    /// the reconstructed shared directory. Rides in the same trailing
-    /// versioned section as `l2_events`.
-    pub l2_warm_blocks: Vec<BlockAddr>,
 }
 
 impl SimReport {
@@ -155,8 +141,6 @@ impl SimReport {
             l2,
             cycles,
             prefetcher,
-            l2_events,
-            l2_warm_blocks,
         } = self;
         let mut out = Vec::with_capacity(64 + cores.len() * 80 + prefetcher.len() * 24);
         let put = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
@@ -225,31 +209,6 @@ impl SimReport {
             put(&mut out, name.len() as u64);
             out.extend_from_slice(name.as_bytes());
             put(&mut out, value.to_bits());
-        }
-        // Versioned trailing event section, present only when a timeline
-        // was recorded: an eventless report keeps the layout-1 bytes
-        // exactly, so every pre-existing store entry stays decodable and
-        // warm.
-        if !l2_events.is_empty() || !l2_warm_blocks.is_empty() {
-            put(&mut out, u64::from(SIM_REPORT_EVENT_LAYOUT_VERSION));
-            put(&mut out, l2_events.len() as u64);
-            for e in l2_events {
-                // Exhaustive destructure: extending L2Event without
-                // extending the codec is a compile error.
-                let L2Event {
-                    issue,
-                    block,
-                    kind,
-                    hit,
-                } = *e;
-                put(&mut out, issue);
-                put(&mut out, block.0);
-                put(&mut out, kind.index() as u64 | (u64::from(hit) << 8));
-            }
-            put(&mut out, l2_warm_blocks.len() as u64);
-            for b in l2_warm_blocks {
-                put(&mut out, b.0);
-            }
         }
         // Versioned trailing flush section, present only when a run saw
         // context-switch activity: a flushless report keeps its exact
@@ -324,10 +283,9 @@ impl SimReport {
             prefetcher.push((name, value));
         }
         // Layout-1 payloads end here; extended payloads continue with
-        // versioned trailing sections in strictly increasing tag order
-        // (events, then flush counters), each present at most once.
-        let mut l2_events = Vec::new();
-        let mut l2_warm_blocks = Vec::new();
+        // versioned trailing sections in strictly increasing tag order,
+        // each present at most once. Tag 2 is retired (it carried recorded
+        // L2 event timelines) and, like any unknown tag, is rejected.
         let mut last_section = 0u64;
         while cur.pos != bytes.len() {
             let section = cur.u64()?;
@@ -335,40 +293,7 @@ impl SimReport {
                 return Err(ReportCodecError::BadEventSection(section));
             }
             last_section = section;
-            if section == u64::from(SIM_REPORT_EVENT_LAYOUT_VERSION) {
-                let n_events = usize_count(cur.u64()?)?;
-                l2_events.reserve(n_events.min(bytes.len() / 24 + 1));
-                for _ in 0..n_events {
-                    let issue = cur.u64()?;
-                    let block = BlockAddr(cur.u64()?);
-                    let packed = cur.u64()?;
-                    // tifs-lint: allow(narrowing-cast) — `& 0xFF` bounds the
-                    // value to 8 bits; the cast cannot lose information.
-                    let kind = L2ReqKind::from_index((packed & 0xFF) as usize)
-                        .ok_or(ReportCodecError::BadEventKind)?;
-                    let hit = match packed >> 8 {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(ReportCodecError::BadEventKind),
-                    };
-                    l2_events.push(L2Event {
-                        issue,
-                        block,
-                        kind,
-                        hit,
-                    });
-                }
-                let n_warm = usize_count(cur.u64()?)?;
-                l2_warm_blocks.reserve(n_warm.min(bytes.len() / 8 + 1));
-                for _ in 0..n_warm {
-                    l2_warm_blocks.push(BlockAddr(cur.u64()?));
-                }
-                if l2_events.is_empty() && l2_warm_blocks.is_empty() {
-                    // A present-but-empty section would make the encoding
-                    // non-canonical (two byte strings for one report).
-                    return Err(ReportCodecError::TrailingBytes);
-                }
-            } else if section == u64::from(SIM_REPORT_FLUSH_LAYOUT_VERSION) {
+            if section == u64::from(SIM_REPORT_FLUSH_LAYOUT_VERSION) {
                 let mut any = false;
                 for core in &mut cores {
                     core.flushes = cur.u64()?;
@@ -389,78 +314,14 @@ impl SimReport {
             l2,
             cycles,
             prefetcher,
-            l2_events,
-            l2_warm_blocks,
         })
-    }
-
-    /// Deterministically merges per-shard reports (one independent
-    /// single-core — or core-subset — run per shard) into one report:
-    /// cores concatenate in shard order, L2 counters sum, `cycles` takes
-    /// the slowest shard (the wall the merged run would have waited on),
-    /// and prefetcher counters merge by name in first-appearance order
-    /// with values summed. The merge is a pure fold in argument order, so
-    /// identical inputs produce identical outputs whatever thread
-    /// schedule produced them.
-    pub fn merge_shards(parts: &[SimReport]) -> SimReport {
-        let mut merged = SimReport::default();
-        for part in parts {
-            let SimReport {
-                cores,
-                l2,
-                cycles,
-                prefetcher,
-                l2_events,
-                l2_warm_blocks,
-            } = part;
-            merged.l2_events.extend(l2_events.iter().copied());
-            merged.l2_warm_blocks.extend(l2_warm_blocks.iter().copied());
-            merged.cores.extend(cores.iter().cloned());
-            let L2Stats {
-                accesses,
-                inst_hits,
-                inst_misses,
-                mshr_rejects,
-                mem_transfers,
-                tag_updates,
-                tag_update_drops,
-                queue_delay,
-            } = l2;
-            for (slot, v) in merged.l2.accesses.iter_mut().zip(accesses) {
-                *slot += v;
-            }
-            merged.l2.inst_hits += inst_hits;
-            merged.l2.inst_misses += inst_misses;
-            merged.l2.mshr_rejects += mshr_rejects;
-            merged.l2.mem_transfers += mem_transfers;
-            merged.l2.tag_updates += tag_updates;
-            merged.l2.tag_update_drops += tag_update_drops;
-            merged.l2.queue_delay += queue_delay;
-            merged.cycles = merged.cycles.max(*cycles);
-            for (name, value) in prefetcher {
-                match merged.prefetcher.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, acc)) => *acc += value,
-                    None => merged.prefetcher.push((name.clone(), *value)),
-                }
-            }
-        }
-        merged
     }
 }
 
-/// Version of the canonical [`SimReport`] byte layout for *eventless*
-/// reports. Hashed into every report store key (alongside the container
-/// format version), so a layout change re-addresses all cached reports
-/// instead of misdecoding them.
+/// Version of the canonical [`SimReport`] byte layout. Hashed into every
+/// report store key (alongside the container format version), so a layout
+/// change re-addresses all cached reports instead of misdecoding them.
 pub const SIM_REPORT_LAYOUT_VERSION: u32 = 1;
-
-/// Bumped layout version for reports carrying a recorded L2 event
-/// timeline: the layout-1 fields followed by a trailing event section
-/// tagged with this version. Eventless reports keep encoding as layout 1
-/// byte-for-byte, so existing store entries for the coupled and
-/// plain-sharded execution modes stay decodable and warm; only the
-/// contention-aware mode addresses layout-2 content.
-pub const SIM_REPORT_EVENT_LAYOUT_VERSION: u32 = 2;
 
 /// Bumped layout version for reports carrying context-switch flush and
 /// metadata-refill counters: a trailing section tagged with this version
@@ -468,9 +329,9 @@ pub const SIM_REPORT_EVENT_LAYOUT_VERSION: u32 = 2;
 /// from flushless runs keep encoding exactly as before — the section is
 /// emitted only when at least one counter is nonzero — so every existing
 /// store entry stays decodable and warm; only workload mixes with context
-/// switching enabled address flush-section content. Sections are ordered
-/// by tag, so a report carrying both an event timeline and flush counters
-/// encodes events first.
+/// switching enabled address flush-section content. Section tag 2 is
+/// retired (it carried recorded L2 event timelines) and decodes as
+/// [`ReportCodecError::BadEventSection`].
 pub const SIM_REPORT_FLUSH_LAYOUT_VERSION: u32 = 3;
 
 /// Errors decoding a canonical report payload.
@@ -482,10 +343,9 @@ pub enum ReportCodecError {
     TrailingBytes,
     /// A prefetcher counter name was not valid UTF-8.
     BadCounterName,
-    /// A trailing event section carried an unknown version tag.
+    /// A trailing section carried an unknown (or retired) version tag,
+    /// or arrived out of tag order.
     BadEventSection(u64),
-    /// An event carried an invalid kind index or hit flag.
-    BadEventKind,
     /// A count field exceeds the address space — it cannot possibly
     /// describe items present in the payload.
     CountOverflow,
@@ -498,9 +358,8 @@ impl std::fmt::Display for ReportCodecError {
             ReportCodecError::TrailingBytes => write!(f, "trailing bytes in report payload"),
             ReportCodecError::BadCounterName => write!(f, "non-UTF-8 counter name"),
             ReportCodecError::BadEventSection(v) => {
-                write!(f, "unknown event-section version {v}")
+                write!(f, "unknown report-section tag {v}")
             }
-            ReportCodecError::BadEventKind => write!(f, "invalid event kind or hit flag"),
             ReportCodecError::CountOverflow => write!(f, "count overflows the address space"),
         }
     }
@@ -597,51 +456,24 @@ mod tests {
             },
             cycles: 777,
             prefetcher: vec![("streams".into(), 4.0), ("discards".into(), 0.5)],
-            l2_events: Vec::new(),
-            l2_warm_blocks: Vec::new(),
         }
     }
 
-    fn sample_events() -> Vec<L2Event> {
-        vec![
-            L2Event {
-                issue: 3,
-                block: BlockAddr(17),
-                kind: L2ReqKind::IFetch,
-                hit: false,
-            },
-            L2Event {
-                issue: 3,
-                block: BlockAddr(33),
-                kind: L2ReqKind::Data,
-                hit: true,
-            },
-            L2Event {
-                issue: 90,
-                block: BlockAddr(0x0800_0000),
-                kind: L2ReqKind::ImlRead,
-                hit: true,
-            },
-        ]
+    /// A retired layout-2 event section exactly as contended cells
+    /// wrote it after the layout-1 fields: the tag, the event count, three
+    /// words per event (issue cycle, block, kind index | hit << 8), the
+    /// warm-block count, and the warm blocks.
+    fn retired_event_section() -> Vec<u8> {
+        let mut out = Vec::new();
+        for v in [2u64, 2, 3, 17, 0, 90, 0x0800_0000, 4 | 1 << 8, 1, 99] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
     }
 
     #[test]
     fn canonical_bytes_roundtrip_exactly() {
-        let with_events = SimReport {
-            l2_events: sample_events(),
-            l2_warm_blocks: vec![BlockAddr(3), BlockAddr(99)],
-            ..sample_report()
-        };
-        let warm_only = SimReport {
-            l2_warm_blocks: vec![BlockAddr(7)],
-            ..sample_report()
-        };
-        for report in [
-            sample_report(),
-            SimReport::default(),
-            with_events,
-            warm_only,
-        ] {
+        for report in [sample_report(), SimReport::default()] {
             let bytes = report.to_canonical_bytes();
             let back = SimReport::from_canonical_bytes(&bytes).unwrap();
             assert_eq!(back, report);
@@ -651,63 +483,42 @@ mod tests {
     }
 
     #[test]
-    fn eventless_reports_keep_the_layout_1_encoding() {
-        // The trailing event section appears only when events exist:
-        // every report the coupled and plain-sharded modes produce must
-        // keep its pre-event-section bytes, so existing report-store
-        // entries remain addressable and decodable.
-        let eventless = sample_report();
-        let mut with_events = eventless.clone();
-        with_events.l2_events = sample_events();
-        with_events.l2_warm_blocks = vec![BlockAddr(5)];
-        let base = eventless.to_canonical_bytes();
-        let extended = with_events.to_canonical_bytes();
-        assert_eq!(
-            &extended[..base.len()],
-            &base[..],
-            "the event section must be a pure suffix"
-        );
-        assert_eq!(
-            extended.len() - base.len(),
-            16 + 24 * with_events.l2_events.len() + 8 + 8 * with_events.l2_warm_blocks.len(),
-            "section = version + count + 3 words per event + warm count + warm blocks"
-        );
-    }
-
-    #[test]
     fn event_section_rejects_bad_version_and_kind() {
-        let report = SimReport {
-            l2_events: sample_events(),
-            ..sample_report()
-        };
+        // A layout-1 payload followed by the retired tag-2 section, as a
+        // contended cell stored it: rejected by tag, never misread as a
+        // report, so a store entry holding one is evicted and recomputed.
+        let mut contended = sample_report().to_canonical_bytes();
+        contended.extend_from_slice(&retired_event_section());
+        assert_eq!(
+            SimReport::from_canonical_bytes(&contended),
+            Err(ReportCodecError::BadEventSection(2))
+        );
+        // Followed by a valid flush section, the retired tag still wins.
+        let mut flushed = sample_report();
+        flushed.cores[0].flushes = 1;
+        let flush_bytes = flushed.to_canonical_bytes();
         let base_len = sample_report().to_canonical_bytes().len();
-        let bytes = report.to_canonical_bytes();
-        // Unknown section version.
-        let mut bad_version = bytes.clone();
-        bad_version[base_len..base_len + 8].copy_from_slice(&99u64.to_le_bytes());
+        let mut both = flush_bytes[..base_len].to_vec();
+        both.extend_from_slice(&retired_event_section());
+        both.extend_from_slice(&flush_bytes[base_len..]);
         assert_eq!(
-            SimReport::from_canonical_bytes(&bad_version),
+            SimReport::from_canonical_bytes(&both),
+            Err(ReportCodecError::BadEventSection(2))
+        );
+        // Any other unknown tag is rejected the same way.
+        let mut unknown = contended;
+        let at = base_len;
+        unknown[at..at + 8].copy_from_slice(&99u64.to_le_bytes());
+        assert_eq!(
+            SimReport::from_canonical_bytes(&unknown),
             Err(ReportCodecError::BadEventSection(99))
-        );
-        // Invalid kind index in the first event's packed word.
-        let packed_at = base_len + 16 + 16;
-        let mut bad_kind = bytes.clone();
-        bad_kind[packed_at..packed_at + 8].copy_from_slice(&0xEEu64.to_le_bytes());
-        assert_eq!(
-            SimReport::from_canonical_bytes(&bad_kind),
-            Err(ReportCodecError::BadEventKind)
-        );
-        // Truncation inside the section.
-        assert_eq!(
-            SimReport::from_canonical_bytes(&bytes[..bytes.len() - 4]),
-            Err(ReportCodecError::Truncated)
         );
     }
 
     #[test]
     fn flush_section_roundtrips_and_stays_a_pure_suffix() {
         // A flushless report keeps its exact prior bytes; flush counters
-        // ride a versioned trailing section after the event section.
+        // ride a versioned trailing section.
         let flushless = sample_report();
         let mut flushed = flushless.clone();
         flushed.cores[0].flushes = 4;
@@ -728,13 +539,6 @@ mod tests {
         let back = SimReport::from_canonical_bytes(&extended).unwrap();
         assert_eq!(back, flushed);
         assert_eq!(back.to_canonical_bytes(), extended);
-        // Both trailing sections together, in increasing tag order.
-        let mut both = flushed.clone();
-        both.l2_events = sample_events();
-        let bytes = both.to_canonical_bytes();
-        let back = SimReport::from_canonical_bytes(&bytes).unwrap();
-        assert_eq!(back, both);
-        assert_eq!(back.to_canonical_bytes(), bytes);
     }
 
     #[test]
@@ -752,8 +556,8 @@ mod tests {
             SimReport::from_canonical_bytes(&padded),
             Err(ReportCodecError::TrailingBytes)
         );
-        // Sections must arrive in strictly increasing tag order: flush
-        // before events (or any repeat) is rejected.
+        // Sections must arrive in strictly increasing tag order: a
+        // repeated flush section is rejected.
         let mut flushed = flushless.clone();
         flushed.cores[1].flushes = 1;
         let mut reordered = flushed.to_canonical_bytes();
@@ -785,7 +589,7 @@ mod tests {
                 "prefix of {cut} bytes must not decode"
             );
         }
-        // Trailing garbage cannot masquerade as an event section: too
+        // Trailing garbage cannot masquerade as a trailing section: too
         // short to hold the section header it reads as a truncation, a
         // full word with the wrong tag as an unknown section version.
         let mut trailing = bytes.clone();
@@ -808,34 +612,6 @@ mod tests {
             SimReport::from_canonical_bytes(&huge),
             Err(ReportCodecError::Truncated)
         );
-    }
-
-    #[test]
-    fn merge_concatenates_cores_and_sums_l2() {
-        let a = sample_report();
-        let mut b = sample_report();
-        b.cycles = 1000;
-        b.prefetcher = vec![("discards".into(), 1.5), ("late".into(), 2.0)];
-        let merged = SimReport::merge_shards(&[a.clone(), b.clone()]);
-        assert_eq!(merged.cores.len(), 4);
-        assert_eq!(merged.cores[..2], a.cores[..]);
-        assert_eq!(merged.cores[2..], b.cores[..]);
-        assert_eq!(merged.l2.accesses, [2, 4, 6, 8, 10, 12]);
-        assert_eq!(merged.l2.queue_delay, 26);
-        assert_eq!(merged.cycles, 1000, "merged cycles is the slowest shard");
-        assert_eq!(
-            merged.prefetcher,
-            vec![
-                ("streams".into(), 4.0),
-                ("discards".into(), 2.0),
-                ("late".into(), 2.0)
-            ],
-            "counters merge by name in first-appearance order"
-        );
-        // Merging a single part is the identity.
-        assert_eq!(SimReport::merge_shards(std::slice::from_ref(&a)), a);
-        // Merging nothing is the empty report.
-        assert_eq!(SimReport::merge_shards(&[]), SimReport::default());
     }
 
     #[test]

@@ -140,33 +140,6 @@ proptest! {
         prop_assert!(SimReport::from_canonical_bytes(&padded).is_err());
     }
 
-    #[test]
-    fn shard_merge_is_associative_on_l2_and_cores(
-        shards in prop::collection::vec(
-            prop::collection::vec(any::<u64>(), 13..14),
-            1..6,
-        ),
-    ) {
-        // Merging all shards at once equals merging a prefix, then the
-        // rest — the property that lets the engine chunk per-core work
-        // units however it likes without changing a byte.
-        let parts: Vec<SimReport> = shards
-            .iter()
-            .map(|w| arbitrary_report(std::slice::from_ref(w), &[1; 13], w[0], &[]))
-            .collect();
-        let all = SimReport::merge_shards(&parts);
-        for split in 0..parts.len() {
-            let left = SimReport::merge_shards(&parts[..split]);
-            let right = SimReport::merge_shards(&parts[split..]);
-            let two_step = SimReport::merge_shards(&[left, right]);
-            prop_assert_eq!(
-                two_step.to_canonical_bytes(),
-                all.to_canonical_bytes(),
-                "split at {} diverged",
-                split
-            );
-        }
-    }
 }
 
 /// Builds a report from drawn words: counters get printable ASCII names
@@ -225,7 +198,5 @@ fn arbitrary_report(
         l2,
         cycles,
         prefetcher,
-        l2_events: Vec::new(),
-        l2_warm_blocks: Vec::new(),
     }
 }

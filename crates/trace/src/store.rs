@@ -246,8 +246,8 @@ impl TraceKey {
 /// Stable content address of one report store entry. Built by the
 /// experiment engine from a [`Fingerprint`] over the *full* cell
 /// configuration: workload spec, seed, instruction and warmup budgets,
-/// every CMP parameter, the prefetcher configuration, the execution mode
-/// (coupled vs. core-sharded), and the report format version.
+/// every CMP parameter, the prefetcher configuration, the execution-mode
+/// discriminant, and the report format version.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ReportKey(pub u128);
 

@@ -167,3 +167,60 @@ fn figure4_example_is_exact() {
         (4, 4, 2, 6)
     );
 }
+
+#[test]
+fn coupled_report_key_is_pinned() {
+    // One coupled key from the `report_key_stability` pins: if the key
+    // schema drifts, every persistent report store silently goes cold.
+    use tifs::experiments::engine::{report_key, ExecMode, SystemSpec};
+    let exp = ExpConfig {
+        instructions: 60_000,
+        warmup: 60_000,
+        seed: 42,
+    };
+    let key = report_key(
+        &WorkloadSpec::web_zeus(),
+        exp.seed,
+        &SystemSpec::Kind(SystemKind::NextLine),
+        &exp,
+        &SystemConfig::table2(),
+        ExecMode::Coupled,
+    );
+    assert_eq!(key.0, 0x72e4_a7d9_20d0_d473_6157_eec7_af05_aefa);
+}
+
+#[test]
+fn report_store_rerun_is_all_hits_and_byte_identical() {
+    use tifs::experiments::engine::{ExperimentGrid, GridResults, Lab};
+    use tifs::trace::store::ReportStore;
+    let dir = std::env::temp_dir().join(format!("tifs-e2e-report-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let exp = ExpConfig {
+        instructions: 4_000,
+        warmup: 4_000,
+        seed: 3,
+    };
+    let grid = ExperimentGrid::new(exp)
+        .with_system_config(SystemConfig::single_core())
+        .systems([SystemKind::NextLine, SystemKind::TifsVirtualized]);
+    let run_once = || {
+        let lab = Lab::build(vec![WorkloadSpec::tiny_test()], exp)
+            .with_report_store(ReportStore::new(&dir).expect("store dir"));
+        let results = grid.run_on(&lab);
+        let s = lab.report_store().expect("store attached").stats();
+        (results, (s.hits, s.misses, s.writes))
+    };
+    let bytes = |r: &GridResults| -> Vec<Vec<u8>> {
+        r.rows[0]
+            .reports
+            .iter()
+            .map(|rep| rep.to_canonical_bytes())
+            .collect()
+    };
+    let (cold, cold_stats) = run_once();
+    assert_eq!(cold_stats, (0, 2, 2));
+    let (warm, warm_stats) = run_once();
+    assert_eq!(warm_stats, (2, 0, 0), "the rerun must be all store hits");
+    assert_eq!(bytes(&cold), bytes(&warm));
+    let _ = std::fs::remove_dir_all(&dir);
+}
