@@ -600,7 +600,8 @@ fn load_cached_report(store: &ReportStore, key: &ReportKey) -> Option<SimReport>
 /// [`run_mix_cells`], over `rows × systems` cells in row-major order:
 ///
 /// 1. with a store attached, every cell is looked up under `key_of(row,
-///    system)` (cheap, serial disk reads);
+///    system)` (cheap, serial disk reads; each key is hashed once and
+///    reused for the write-through);
 /// 2. `runner` is told which rows have a missing cell and returns the
 ///    cell runner (a caller with per-row set-up builds it here, for the
 ///    missing rows only);
@@ -625,10 +626,14 @@ where
     let cells: Vec<(usize, usize)> = (0..rows)
         .flat_map(|r| (0..systems.len()).map(move |s| (r, s)))
         .collect();
+    let keys: Vec<ReportKey> = match store {
+        Some(_) => cells.iter().map(|&(r, s)| key_of(r, s)).collect(),
+        None => Vec::new(),
+    };
     let mut reports: Vec<Option<SimReport>> = match store {
-        Some(store) => cells
+        Some(store) => keys
             .iter()
-            .map(|&(r, s)| load_cached_report(store, &key_of(r, s)))
+            .map(|key| load_cached_report(store, key))
             .collect(),
         None => cells.iter().map(|_| None).collect(),
     };
@@ -645,11 +650,11 @@ where
     let run = runner(&need);
     let computed: Vec<SimReport> = par::map(&missing, threads, |_, &(r, s)| run(r, s));
     let mut computed_iter = computed.into_iter();
-    for (slot, &(r, s)) in reports.iter_mut().zip(&cells) {
+    for (i, (slot, &(r, s))) in reports.iter_mut().zip(&cells).enumerate() {
         if slot.is_none() {
             let report = computed_iter.next().expect("one report per missing cell");
             if let Some(store) = store {
-                if let Err(e) = store.save(&key_of(r, s), &report.to_canonical_bytes()) {
+                if let Err(e) = store.save(&keys[i], &report.to_canonical_bytes()) {
                     eprintln!(
                         "[report-store] failed to persist cell ({}, {}): {e}",
                         row_name(r),
@@ -700,9 +705,16 @@ pub fn run_mix_cells(
         },
         |c| cells[c].name(),
         |need| {
-            let programs: Vec<Option<CellPrograms>> = par::map(cells, threads, |i, cell| {
-                need[i].then(|| CellPrograms::build(cell, exp.seed))
+            // Only rows with a missing cell build programs, so an all-hit
+            // run starts no workers here.
+            let rows: Vec<usize> = (0..cells.len()).filter(|&c| need[c]).collect();
+            let built = par::map(&rows, threads, |_, &c| {
+                CellPrograms::build(&cells[c], exp.seed)
             });
+            let mut programs: Vec<Option<CellPrograms>> = cells.iter().map(|_| None).collect();
+            for (c, p) in rows.into_iter().zip(built) {
+                programs[c] = Some(p);
+            }
             move |c, s| {
                 let programs = programs[c]
                     .as_ref()

@@ -1,5 +1,13 @@
 //! Figure 11 — TIFS predictor coverage as a function of IML storage
 //! capacity (perfect dedicated Index Table, functional model).
+//!
+//! Capacity changes only which log positions are still retained and the
+//! stream state that follows from that; the per-core miss logs and the
+//! Index Table are the same at every budget. So all eight budgets run as
+//! lanes of one [`FunctionalTifs`]: one pass per workload costing one
+//! index lookup, one index update and one log append per miss, plus
+//! lanes × stream contexts × window compares. The shared logs keep every
+//! miss (8 bytes each) instead of one ring per budget.
 
 use tifs_core::{entries_per_core_for_kb, FunctionalConfig, FunctionalTifs};
 
@@ -27,29 +35,29 @@ pub fn run(cfg: &ExpConfig) -> Vec<CapacityCurve> {
 }
 
 /// As [`run`], on an existing lab (cached miss traces shared with the
-/// other trace analyses).
+/// other trace analyses). One lane per storage point: every workload's
+/// traces are replayed once, through one shared log and Index Table.
 pub fn run_on(lab: &Lab) -> Vec<CapacityCurve> {
+    let capacities: Vec<Option<usize>> = STORAGE_KB
+        .iter()
+        .map(|&kb| {
+            Some(entries_per_core_for_kb(kb, ANALYSIS_CORES).max(tifs_core::ENTRIES_PER_L2_BLOCK))
+        })
+        .collect();
     lab.analyze(|ctx| {
-        let traces = ctx.miss_traces();
-        let points = STORAGE_KB
-            .iter()
-            .map(|&kb| {
-                let entries = entries_per_core_for_kb(kb, ANALYSIS_CORES)
-                    .max(tifs_core::ENTRIES_PER_L2_BLOCK);
-                let mut f = FunctionalTifs::new(
-                    ANALYSIS_CORES,
-                    FunctionalConfig {
-                        iml_entries_per_core: Some(entries),
-                        ..FunctionalConfig::default()
-                    },
-                );
-                f.process_interleaved(traces);
-                (kb, f.report().coverage())
-            })
-            .collect();
+        let mut f = FunctionalTifs::with_capacities(
+            ANALYSIS_CORES,
+            FunctionalConfig::default(),
+            &capacities,
+        );
+        f.process_interleaved(ctx.miss_traces());
         CapacityCurve {
             workload: ctx.name(),
-            points,
+            points: STORAGE_KB
+                .iter()
+                .zip(f.reports())
+                .map(|(&kb, r)| (kb, r.coverage()))
+                .collect(),
         }
     })
 }

@@ -11,7 +11,7 @@
 //! ```
 
 use tifs_experiments::engine::{ExperimentGrid, Lab};
-use tifs_experiments::figures::fig06;
+use tifs_experiments::figures::{fig06, fig11};
 use tifs_experiments::harness::{ExpConfig, SystemKind};
 use tifs_experiments::sink::{self, StructuredReport};
 use tifs_sim::config::SystemConfig;
@@ -36,11 +36,10 @@ fn golden_report() -> StructuredReport {
     )
 }
 
-fn golden_fig06() -> StructuredReport {
-    // Two workloads at a small budget, built serially: pins Figure 6's
-    // heuristic replay (suffix index, LCE queries, every lookup policy)
-    // byte-for-byte.
-    let lab = Lab::build_with_threads(
+/// Two workloads at a small budget, built serially: the lab behind the
+/// trace-analysis goldens.
+fn golden_lab() -> Lab {
+    Lab::build_with_threads(
         vec![WorkloadSpec::web_apache(), WorkloadSpec::web_zeus()],
         ExpConfig {
             instructions: 100_000,
@@ -48,8 +47,19 @@ fn golden_fig06() -> StructuredReport {
             seed: 5,
         },
         1,
-    );
-    fig06::structured(&fig06::run_on(&lab))
+    )
+}
+
+fn golden_fig06() -> StructuredReport {
+    // Pins Figure 6's heuristic replay (suffix index, LCE queries, every
+    // lookup policy) byte-for-byte.
+    fig06::structured(&fig06::run_on(&golden_lab()))
+}
+
+fn golden_fig11() -> StructuredReport {
+    // Pins Figure 11's capacity sweep (the functional model's lanes over
+    // the shared miss log and Index Table) byte-for-byte.
+    fig11::structured(&fig11::run_on(&golden_lab()))
 }
 
 fn check_golden(rendered: &str, file: &str) {
@@ -89,4 +99,9 @@ fn grid_csv_matches_golden_byte_for_byte() {
 #[test]
 fn fig06_json_matches_golden_byte_for_byte() {
     check_golden(&sink::to_json(&golden_fig06()), "golden_fig06.json");
+}
+
+#[test]
+fn fig11_json_matches_golden_byte_for_byte() {
+    check_golden(&sink::to_json(&golden_fig11()), "golden_fig11.json");
 }

@@ -98,7 +98,7 @@ impl FdipCore {
     fn restart_from(&mut self, pc: Addr) {
         self.explore_pc = Some(pc);
         self.spec_history = self.bpred.history();
-        self.spec_ras = self.ras.clone();
+        self.spec_ras.clone_from(&self.ras);
         self.path.clear();
         self.branches_in_path = 0;
         self.last_explored_block = None;

@@ -136,10 +136,26 @@ impl HybridPredictor {
 }
 
 /// Return address stack.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ReturnAddressStack {
     stack: Vec<Addr>,
     capacity: usize,
+}
+
+impl Clone for ReturnAddressStack {
+    fn clone(&self) -> ReturnAddressStack {
+        ReturnAddressStack {
+            stack: self.stack.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// Copies into the existing buffer: a speculative stack re-synced
+    /// from the architectural one on every restart allocates nothing.
+    fn clone_from(&mut self, source: &ReturnAddressStack) {
+        self.stack.clone_from(&source.stack);
+        self.capacity = source.capacity;
+    }
 }
 
 impl ReturnAddressStack {
@@ -275,6 +291,23 @@ mod tests {
         assert_eq!(ras.pop(), Some(Addr(3)));
         assert_eq!(ras.pop(), Some(Addr(2)));
         assert_eq!(ras.pop(), None);
+    }
+
+    #[test]
+    fn ras_clone_from_replaces_contents_and_depth_bound() {
+        let mut src = ReturnAddressStack::new(2);
+        src.push(Addr(7));
+        let mut dst = ReturnAddressStack::new(4);
+        for a in 1..=4 {
+            dst.push(Addr(a));
+        }
+        dst.clone_from(&src);
+        assert_eq!(dst.depth(), 1);
+        dst.push(Addr(8));
+        dst.push(Addr(9)); // the source's depth bound of 2 evicts 7
+        assert_eq!(dst.pop(), Some(Addr(9)));
+        assert_eq!(dst.pop(), Some(Addr(8)));
+        assert_eq!(dst.pop(), None);
     }
 
     #[test]

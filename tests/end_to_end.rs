@@ -224,3 +224,25 @@ fn report_store_rerun_is_all_hits_and_byte_identical() {
     assert_eq!(bytes(&cold), bytes(&warm));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn figure11_matches_its_golden_byte_for_byte() {
+    // The Figure 11 golden of the experiments crate, checked here too so
+    // the root suite fails when the capacity sweep's bytes move.
+    use tifs::experiments::engine::Lab;
+    use tifs::experiments::figures::fig11;
+    use tifs::experiments::sink;
+    let lab = Lab::build_with_threads(
+        vec![WorkloadSpec::web_apache(), WorkloadSpec::web_zeus()],
+        ExpConfig {
+            instructions: 100_000,
+            warmup: 0,
+            seed: 5,
+        },
+        1,
+    );
+    assert_eq!(
+        sink::to_json(&fig11::structured(&fig11::run_on(&lab))),
+        include_str!("../crates/experiments/tests/golden/golden_fig11.json")
+    );
+}
